@@ -310,6 +310,28 @@ class AbsoluteNorm2:
                     gaps.append(1.0 - val)
         return min(gaps) if gaps else 1.0
 
+    def sup_height(self, cut: float) -> float:
+        """Largest second coordinate over unit pairs ``(a, b) >= 0`` with
+        ``a >= cut`` (0 when there is none): a closed form for p-norms, a
+        walk along the sphere polygon for tables."""
+        if self.kind == "lp":
+            if self.p == math.inf:
+                return 1.0 if cut <= 1.0 else 0.0
+            if cut > 1.0:
+                return 0.0
+            return (1.0 - cut ** self.p) ** (1.0 / self.p)
+        worst = None
+        verts = self._vertices
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+            for x, y in ((x0, y0), (x1, y1)):
+                if x >= cut - 1e-15:
+                    worst = y if worst is None else max(worst, y)
+            if (x0 - cut) * (x1 - cut) < 0.0:
+                t = (cut - x0) / (x1 - x0)
+                y = y0 + t * (y1 - y0)
+                worst = y if worst is None else max(worst, y)
+        return 0.0 if worst is None else worst
+
     # -- serialization ----------------------------------------------------
 
     def to_params(self) -> dict:
@@ -447,38 +469,15 @@ def lemma_fact_delta(n: AbsoluteNorm2, epsilon: float, resolution: int = 10000) 
     satisfies ``a <= t_max + epsilon``, where ``t_max`` is the maximal
     first coordinate among unit pairs with second coordinate one.  Pairs
     within the threshold therefore admit a completion ``(t, 1)`` on the
-    sphere with ``|t - a| <= epsilon``.  The exact value (closed form for
-    p-norms, a polygon sweep for tables) is certified on a ``resolution``
+    sphere with ``|t - a| <= epsilon``.  The exact value,
+    ``1 - sup_height(t_max + epsilon)``, is certified on a ``resolution``
     point sweep of the sphere.
     """
     if epsilon <= 0.0:
         raise RangeError(f"epsilon must be positive, got {epsilon}")
     cap = 1.0 - 1e-9
-    t_max = n._t_max
-    cut = t_max + epsilon
-    if n.kind == "lp" and n.p != math.inf:
-        if cut >= 1.0:
-            delta = cap
-        else:
-            delta = min(1.0 - (1.0 - cut ** n.p) ** (1.0 / n.p), cap)
-    elif n.kind == "lp":
-        delta = cap
-    else:
-        # Walk the sphere polygon; record the largest height reached while
-        # the first coordinate is at least the cut.
-        worst = None
-        verts = n._vertices
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            for x, y in ((x0, y0), (x1, y1)):
-                if x >= cut - 1e-15:
-                    worst = y if worst is None else max(worst, y)
-            if (x0 - cut) * (x1 - cut) < 0.0:
-                t = (cut - x0) / (x1 - x0)
-                y = y0 + t * (y1 - y0)
-                worst = y if worst is None else max(worst, y)
-        if verts[0][0] >= cut - 1e-15:
-            worst = verts[0][1] if worst is None else max(worst, verts[0][1])
-        delta = cap if worst is None else min(1.0 - worst, cap)
+    cut = n._t_max + epsilon
+    delta = min(1.0 - n.sup_height(cut), cap)
     # Certify on a sweep of sphere directions: every sampled unit pair with
     # b > 1 - delta must satisfy a <= t_max + epsilon.
     for u in np.linspace(0.0, 1.0, resolution):

@@ -127,63 +127,6 @@ def verify_ahsp_witness(series: ConvexSeries,
 # -- face machinery ---------------------------------------------------------
 
 
-def _uc_delta(space: NormedSpace):
-    """Closed-form convexity modulus for the uniformly convex kinds."""
-    if space.kind == "euclidean":
-        return lambda e: 1.0 - math.sqrt(max(0.0, 1.0 - e * e / 4.0))
-    if space.kind == "lp" and 1.0 < space.p < math.inf:
-        return lambda e: convexity_modulus(space, e)
-    if space.kind == "absolute2" and space.generator.is_smooth:
-        proxy = LpSpace(2, space.generator.p)
-        return lambda e: convexity_modulus(proxy, e)
-    raise NotUniformlyConvex(
-        f"space kind {space.kind!r} has no uniformly convex modulus here")
-
-
-class UniformlyConvexAhpOracle:
-    """Face-approximation data for a uniformly convex space.
-
-    ``delta`` is the modulus of convexity; the face representative map is
-    the identity; the face of a unit functional is the single point where
-    it attains, so the face projection ignores the query point.
-    """
-
-    def __init__(self, space: NormedSpace):
-        self.space = space
-        self._delta = _uc_delta(space)
-
-    def delta(self, epsilon: float) -> float:
-        if not 0.0 < epsilon <= 2.0:
-            raise RangeError(f"epsilon must lie in (0, 2], got {epsilon}")
-        return self._delta(epsilon)
-
-    def upsilon(self, x_star: np.ndarray) -> np.ndarray:
-        """Identity on the norming set (unit functionals)."""
-        return self.space.coerce(x_star)
-
-    def face_point(self, y_star: np.ndarray, x=None) -> np.ndarray:
-        """The unique unit vector where ``y_star`` attains its norm."""
-        return self.space.attaining_vector(y_star)
-
-    def sample_norming(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
-        """Random unit functionals (the norming set is the full dual sphere)."""
-        out = []
-        for _ in range(count):
-            raw = rng.standard_normal(self.space.dim)
-            if self.space.scalar_field == "complex":
-                raw = raw + 1j * rng.standard_normal(self.space.dim)
-            out.append(self.space.coerce(raw) / self.space.dual_norm(raw))
-        return out
-
-
-def ahp_oracle_uniformly_convex(space: NormedSpace) -> UniformlyConvexAhpOracle:
-    """The face oracle whose ``delta`` is the modulus of convexity.
-
-    Raises :class:`NotUniformlyConvex` for kinds with flat faces.
-    """
-    return UniformlyConvexAhpOracle(space)
-
-
 def _project_segment(gen: AbsoluteNorm2, p: np.ndarray, va: np.ndarray,
                      vb: np.ndarray) -> np.ndarray:
     """Nearest point (in the generator norm) to ``p`` on [va, vb]."""
@@ -364,13 +307,11 @@ def finite_dim_witness(space: NormedSpace, series: ConvexSeries,
             zs.append(space.coerce(z))
         return AhspWitness(space, A, tuple(zs), x_star, epsilon)
 
-    witness = build(_exact_face_point)
-    report = verify_ahsp_witness(series, witness)
-    if all(c.passed for c in report):
-        return AhspWitness(space, A, witness.points, x_star, epsilon,
-                           tuple(report))
+    projectors = [_exact_face_point]
     if space.dim <= 3:
-        witness = build(lambda sp, f, x: _brute_force_face_point(sp, f, x))
+        projectors.append(_brute_force_face_point)
+    for projector in projectors:
+        witness = build(projector)
         report = verify_ahsp_witness(series, witness)
         if all(c.passed for c in report):
             return AhspWitness(space, A, witness.points, x_star, epsilon,
@@ -416,75 +357,25 @@ class AhspOracle(ABC):
         ...
 
 
-class UniformlyConvexAhspOracle(AhspOracle):
-    """Witnesses in a uniformly convex space: every face is one point.
+class _FaceOracle(AhspOracle):
+    """Witness oracle built on a face projection.
 
-    ``eta(eps) = 0.9 eps theta(eps)`` with ``theta(eps)`` the convexity
-    modulus at ``0.8 eps`` (floored at 1e-9); ``eta_ball`` is the modulus
-    itself, which turns a near-support inequality into a distance bound.
+    ``eta(eps) = 0.9 eps theta(eps)``; series witnesses come from
+    :func:`finite_dim_witness`, and ball witnesses project every point onto
+    the face of the given functional.  Subclasses supply ``theta``,
+    ``eta_ball`` and ``face_point``.
     """
 
-    def __init__(self, space: NormedSpace):
-        self.space = space
-        self._delta = _uc_delta(space)
-
+    @abstractmethod
     def theta(self, epsilon: float) -> float:
-        return max(self._delta(0.8 * epsilon), 1e-9)
+        ...
+
+    @abstractmethod
+    def face_point(self, y_star: np.ndarray, x) -> np.ndarray:
+        ...
 
     def eta(self, epsilon: float) -> float:
         return 0.9 * epsilon * self.theta(epsilon)
-
-    def eta_ball(self, epsilon: float) -> float:
-        return self._delta(epsilon)
-
-    def witness(self, series: ConvexSeries, epsilon: float,
-                slack: float = 0.0) -> AhspWitness:
-        return finite_dim_witness(self.space, series, epsilon,
-                                  self.eta(epsilon), slack=slack)
-
-    def witness_ball(self, weights, points, functional, epsilon):
-        space = self.space
-        w_star = space.coerce(functional)
-        if abs(space.dual_norm(w_star) - 1.0) > TOL_SPHERE:
-            raise RangeError("witness_ball requires a unit functional")
-        bar = 1.0 - self.eta_ball(epsilon)
-        v = space.attaining_vector(w_star)
-        for j, p in enumerate(points):
-            pv = space.coerce(p)
-            val = float(np.real(space.pairing(w_star, pv)))
-            if not val > bar - 1e-12:
-                raise HypothesisError(
-                    f"point {j}: Re w*(p) = {val} is not above {bar}")
-            d = space.norm(pv - v)
-            if not d < epsilon + 1e-12:
-                raise OracleViolation(
-                    f"point {j}: face distance {d} is not below {epsilon}")
-        return tuple(range(len(points))), [v] * len(points), w_star
-
-
-class PolyhedralPlaneAhspOracle(AhspOracle):
-    """Witnesses in a plane with a polyhedral generator.
-
-    Faces are segments between sphere vertices; the face gap g bounds how
-    far a unit vector with value above ``1 - theta`` can sit from the face
-    (by ``2 theta / g``), so ``theta(eps) = 0.45 g eps`` keeps projections
-    inside ``0.9 eps``.
-    """
-
-    def __init__(self, space: PlaneSpace):
-        if space.generator.is_smooth:
-            raise RangeError("use the uniformly convex oracle for smooth generators")
-        self.space = space
-        self.gap = space.generator.face_gap()
-
-    def theta(self, epsilon: float) -> float:
-        return max(0.45 * self.gap * epsilon, 1e-9)
-
-    def eta(self, epsilon: float) -> float:
-        return 0.9 * epsilon * self.theta(epsilon)
-
-    def eta_ball(self, epsilon: float) -> float:
-        return self.theta(epsilon)
 
     def witness(self, series: ConvexSeries, epsilon: float,
                 slack: float = 0.0) -> AhspWitness:
@@ -504,13 +395,85 @@ class PolyhedralPlaneAhspOracle(AhspOracle):
             if not val > bar - 1e-12:
                 raise HypothesisError(
                     f"point {j}: Re w*(p) = {val} is not above {bar}")
-            z = _polyhedral_face_point(space, w_star, pv)
+            z = self.face_point(w_star, pv)
             d = space.norm(pv - z)
             if not d < epsilon + 1e-12:
                 raise OracleViolation(
                     f"point {j}: face distance {d} is not below {epsilon}")
             out.append(z)
         return tuple(range(len(points))), out, w_star
+
+
+class UniformlyConvexAhspOracle(_FaceOracle):
+    """Witnesses in a uniformly convex space: every face is one point.
+
+    ``delta`` is the closed-form modulus of convexity (of lp(p) for a
+    smooth plane); ``theta(eps)`` is the modulus at ``0.8 eps`` (floored at
+    1e-9); ``eta_ball`` is the modulus itself, which turns a near-support
+    inequality into a distance bound.  Raises :class:`NotUniformlyConvex`
+    for kinds with flat faces.
+    """
+
+    def __init__(self, space: NormedSpace):
+        if space.kind == "absolute2" and space.generator.is_smooth:
+            self._modulus_space = LpSpace(2, space.generator.p)
+        elif space.kind == "euclidean" or (space.kind == "lp"
+                                           and 1.0 < space.p < math.inf):
+            self._modulus_space = space
+        else:
+            raise NotUniformlyConvex(
+                f"space kind {space.kind!r} has no uniformly convex modulus here")
+        self.space = space
+
+    def delta(self, epsilon: float) -> float:
+        """Modulus of convexity; :class:`RangeError` outside (0, 2]."""
+        return convexity_modulus(self._modulus_space, epsilon,
+                                 method="closed_form")
+
+    def theta(self, epsilon: float) -> float:
+        return max(self.delta(0.8 * epsilon), 1e-9)
+
+    def eta_ball(self, epsilon: float) -> float:
+        return self.delta(epsilon)
+
+    def upsilon(self, x_star: np.ndarray) -> np.ndarray:
+        """Identity on the norming set (unit functionals)."""
+        return self.space.coerce(x_star)
+
+    def face_point(self, y_star: np.ndarray, x=None) -> np.ndarray:
+        """The unique unit vector where ``y_star`` attains its norm."""
+        return self.space.attaining_vector(y_star)
+
+
+#: Former names of the uniformly convex face oracle and its factory.
+UniformlyConvexAhpOracle = UniformlyConvexAhspOracle
+ahp_oracle_uniformly_convex = UniformlyConvexAhspOracle
+
+
+class PolyhedralPlaneAhspOracle(_FaceOracle):
+    """Witnesses in a plane with a polyhedral generator.
+
+    Faces are segments between sphere vertices; the face gap g bounds how
+    far a unit vector with value above ``1 - theta`` can sit from the face
+    (by ``2 theta / g``), so ``theta(eps) = 0.45 g eps`` keeps projections
+    inside ``0.9 eps``.
+    """
+
+    def __init__(self, space: PlaneSpace):
+        if space.generator.is_smooth:
+            raise RangeError("use the uniformly convex oracle for smooth generators")
+        self.space = space
+        self.gap = space.generator.face_gap()
+
+    def theta(self, epsilon: float) -> float:
+        return max(0.45 * self.gap * epsilon, 1e-9)
+
+    def eta_ball(self, epsilon: float) -> float:
+        return self.theta(epsilon)
+
+    def face_point(self, y_star: np.ndarray, x) -> np.ndarray:
+        """Nearest point to ``x`` on the face of ``y_star``."""
+        return _polyhedral_face_point(self.space, y_star, x)
 
 
 def ahsp_oracle_for(space: NormedSpace) -> AhspOracle:

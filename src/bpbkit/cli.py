@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,11 +35,21 @@ from .spaces import (DirectSumSpace, Operator, space_from_json,
 from .util import canonical_json
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def _load_json(path: str):
+    """Parse a JSON file; unreadable files, malformed JSON and non-finite
+    numbers (``NaN``, ``Infinity``, overflowing literals) are config errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_float=_finite_float,
+                             parse_constant=_finite_float)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -34,9 +34,6 @@ from .spaces import (DirectSumSpace, EuclideanSpace, Operator,
                      operator_norm, space_from_json)
 from .util import canonical_json
 
-SCENARIO_KINDS = ("align", "correct_l1sum", "ahsp_direct_sum",
-                  "ahsp_lattice_sum", "moduli_curve", "duality_check")
-
 #: Designed spreads for witness-pipeline instances: member profiles sit
 #: within PROFILE_SPREAD of a common sphere profile and block directions
 #: within DIRECTION_SPREAD of common directions, so the convex-sum deficit
@@ -131,7 +128,7 @@ def scenario_from_json(data: dict) -> Scenario:
     extra = set(data) - {"kind", "params"}
     _require(not extra, f"unknown scenario keys: {sorted(extra)}")
     kind = data.get("kind")
-    _require(kind in SCENARIO_KINDS,
+    _require(kind in _KINDS,
              f"kind must be one of {SCENARIO_KINDS}, got {kind!r}")
     params = data.get("params", {})
     _require(isinstance(params, dict), "params must be an object")
@@ -310,7 +307,7 @@ def generate_ahsp_direct_sum_instance(params: dict,
              f"case must be 1, 2, 3, or 3-mixed, got {case!r}")
     M = EuclideanSpace(2)
     N = EuclideanSpace(2)
-    X = DirectSumSpace([M, N], _plane_lattice(f))
+    X = DirectSumSpace([M, N], Absolute2Lattice(f))
 
     if case == "3-mixed":
         if not f.is_polyhedral:
@@ -341,22 +338,15 @@ def generate_ahsp_direct_sum_instance(params: dict,
 
 def generate_ahsp_lattice_sum_instance(params: dict,
                                        rng: np.random.Generator) -> dict:
-    p = float(params.get("p", 2.0))
-    m = int(params.get("num_components", 3))
-    _require(m >= 1, "a lattice sum needs at least one component")
+    shared = _ahsp_lattice_sum_setup(params)
+    E, Z, pol = shared["E"], shared["space"], shared["policy"]
+    m = E.dim
     count = int(params.get("members", 6))
-    epsilon = float(params.get("epsilon", 0.2))
     zero_branch = bool(params.get("zero_branch", False))
-    E = LpLattice(m, p)
-    components = [EuclideanSpace(2) for _ in range(m)]
-    Z = lattice_sum_space(E, components)
 
     # spreads scale with the policy: member profiles must sit well inside
     # the profile-level tolerance eps', and the convex-sum value deficit
     # (half the squared direction spread) well inside the 1-r filter gap
-    pol = lattice_sum_policy(
-        Z, epsilon, [ahp_oracle_uniformly_convex(c) for c in components],
-        default_profile_oracle(E))
     prof_spread = float(params.get(
         "profile_spread", min(PROFILE_SPREAD, 0.05 * pol.epsilon_prime)))
     dir_spread = float(params.get(
@@ -380,7 +370,7 @@ def generate_ahsp_lattice_sum_instance(params: dict,
                   for k in range(m)]
         points.append(Z.embed(blocks))
     series = ConvexSeries(weights, np.array(points))
-    return {"E": E, "space": Z, "series": series, "epsilon": epsilon}
+    return {"E": E, "space": Z, "series": series, "epsilon": pol.epsilon}
 
 
 def generate_duality_instance(params: dict,
@@ -399,17 +389,10 @@ def generate_duality_instance(params: dict,
 def generate_instance(kind: str, params: dict,
                       rng: np.random.Generator) -> dict:
     """One random instance of the given scenario kind."""
-    if kind == "align":
-        return generate_align_instance(params, rng)
-    if kind == "correct_l1sum":
-        return generate_correct_l1sum_instance(params, rng)
-    if kind == "ahsp_direct_sum":
-        return generate_ahsp_direct_sum_instance(params, rng)
-    if kind == "ahsp_lattice_sum":
-        return generate_ahsp_lattice_sum_instance(params, rng)
-    if kind == "duality_check":
-        return generate_duality_instance(params, rng)
-    raise ConfigError(f"no instance generator for kind {kind!r}")
+    generate = _KINDS[kind][0] if kind in _KINDS else None
+    if generate is None:
+        raise ConfigError(f"no instance generator for kind {kind!r}")
+    return generate(params, rng)
 
 
 def _plane_norm_from_params(params: dict) -> AbsoluteNorm2:
@@ -427,21 +410,17 @@ def _plane_norm_from_params(params: dict) -> AbsoluteNorm2:
     raise ConfigError(f"unknown plane norm spec {kind!r}")
 
 
-def _plane_lattice(f: AbsoluteNorm2) -> Absolute2Lattice:
-    return Absolute2Lattice(f)
-
-
 # ---------------------------------------------------------------------------
-# per-kind trial runners
+# per-kind trial runners: (params, rng, trial index, shared set-up) -> certs
 
 
-def _run_align_trial(params, rng, trial_index) -> list[Certificate]:
-    inst = generate_align_instance(params, rng, trial_index)
+def _run_align_trial(params, rng, index, shared) -> list[Certificate]:
+    inst = generate_align_instance(params, rng, index)
     phi = align_isometry(inst["space"], inst["u"], inst["v"])
     return verify_isometry(phi)
 
 
-def _run_correct_trial(params, rng, shared) -> list[Certificate]:
+def _run_correct_trial(params, rng, index, shared) -> list[Certificate]:
     inst = generate_correct_l1sum_instance(params, rng)
     correction = correct_operator_l1sum(inst["components"], inst["H"],
                                         inst["T"], inst["z0"],
@@ -453,7 +432,7 @@ def _run_correct_trial(params, rng, shared) -> list[Certificate]:
     return certs
 
 
-def _run_ahsp_direct_sum_trial(params, rng, shared) -> list[Certificate]:
+def _run_ahsp_direct_sum_trial(params, rng, index, shared) -> list[Certificate]:
     inst = generate_ahsp_direct_sum_instance(params, rng)
     witness = direct_sum_witness(inst["M"], inst["N"], inst["f"],
                                  inst["series"], inst["epsilon"],
@@ -468,7 +447,7 @@ def _run_ahsp_direct_sum_trial(params, rng, shared) -> list[Certificate]:
     return certs
 
 
-def _run_ahsp_lattice_sum_trial(params, rng, shared) -> list[Certificate]:
+def _run_ahsp_lattice_sum_trial(params, rng, index, shared) -> list[Certificate]:
     inst = generate_ahsp_lattice_sum_instance(params, rng)
     witness = lattice_sum_witness(inst["space"], inst["series"],
                                   inst["epsilon"],
@@ -478,14 +457,14 @@ def _run_ahsp_lattice_sum_trial(params, rng, shared) -> list[Certificate]:
     return list(witness.certificates)
 
 
-def _run_duality_trial(params, rng, shared) -> list[Certificate]:
+def _run_duality_trial(params, rng, index, shared) -> list[Certificate]:
     inst = generate_duality_instance(params, rng)
     return duality_isometry_check(inst["space"], inst["functional"],
                                   seed=int(params.get("sample_seed", 0)),
                                   samples=int(params.get("samples", 50)))
 
 
-def _run_moduli_trial(params, rng) -> list[Certificate]:
+def _run_moduli_trial(params, rng, index, shared) -> list[Certificate]:
     space_data = params.get("space")
     _require(space_data is not None, "moduli_curve needs a space")
     modulus = params.get("modulus", "convexity")
@@ -513,33 +492,53 @@ def _run_moduli_trial(params, rng) -> list[Certificate]:
     ]
 
 
-def _shared_setup(scenario: Scenario) -> dict:
-    """Per-scenario precomputation reused across trials."""
-    shared: dict = {}
-    if scenario.kind == "ahsp_direct_sum":
-        f = _plane_norm_from_params(scenario.params)
-        M = EuclideanSpace(2)
-        N = EuclideanSpace(2)
-        oM = ahsp_oracle_for(M)
-        oN = ahsp_oracle_for(N)
-        shared["oracle_M"] = oM
-        shared["oracle_N"] = oN
-        shared["policy"] = eta_policy(
-            f, oM, oN, float(scenario.params.get("epsilon", 0.2)))
-    elif scenario.kind == "ahsp_lattice_sum":
-        p = float(scenario.params.get("p", 2.0))
-        m = int(scenario.params.get("num_components", 3))
-        _require(m >= 1, "a lattice sum needs at least one component")
-        E = LpLattice(m, p)
-        components = [EuclideanSpace(2) for _ in range(m)]
-        Z = lattice_sum_space(E, components)
-        ahp = [ahp_oracle_uniformly_convex(c) for c in components]
-        oracle = default_profile_oracle(E)
-        shared["E_oracle"] = oracle
-        shared["component_ahp"] = ahp
-        shared["policy"] = lattice_sum_policy(
-            Z, float(scenario.params.get("epsilon", 0.2)), ahp, oracle)
-    return shared
+# ---------------------------------------------------------------------------
+# per-kind set-up: precomputation shared by every trial of a scenario
+
+
+def _no_setup(params: dict) -> dict:
+    return {}
+
+
+def _ahsp_direct_sum_setup(params: dict) -> dict:
+    f = _plane_norm_from_params(params)
+    oM = ahsp_oracle_for(EuclideanSpace(2))
+    oN = ahsp_oracle_for(EuclideanSpace(2))
+    return {"oracle_M": oM, "oracle_N": oN,
+            "policy": eta_policy(f, oM, oN,
+                                 float(params.get("epsilon", 0.2)))}
+
+
+def _ahsp_lattice_sum_setup(params: dict) -> dict:
+    p = float(params.get("p", 2.0))
+    m = int(params.get("num_components", 3))
+    _require(m >= 1, "a lattice sum needs at least one component")
+    E = LpLattice(m, p)
+    components = [EuclideanSpace(2) for _ in range(m)]
+    Z = lattice_sum_space(E, components)
+    ahp = [ahp_oracle_uniformly_convex(c) for c in components]
+    oracle = default_profile_oracle(E)
+    return {"E": E, "space": Z, "E_oracle": oracle, "component_ahp": ahp,
+            "policy": lattice_sum_policy(
+                Z, float(params.get("epsilon", 0.2)), ahp, oracle)}
+
+
+#: Every scenario kind: (instance generator, or None when trials build no
+#: instance; trial runner; per-scenario set-up).
+_KINDS = {
+    "align": (generate_align_instance, _run_align_trial, _no_setup),
+    "correct_l1sum": (generate_correct_l1sum_instance, _run_correct_trial,
+                      _no_setup),
+    "ahsp_direct_sum": (generate_ahsp_direct_sum_instance,
+                        _run_ahsp_direct_sum_trial, _ahsp_direct_sum_setup),
+    "ahsp_lattice_sum": (generate_ahsp_lattice_sum_instance,
+                         _run_ahsp_lattice_sum_trial,
+                         _ahsp_lattice_sum_setup),
+    "moduli_curve": (None, _run_moduli_trial, _no_setup),
+    "duality_check": (generate_duality_instance, _run_duality_trial,
+                      _no_setup),
+}
+SCENARIO_KINDS = tuple(_KINDS)
 
 
 def run_scenario(scenario: Scenario, seed: int) -> Report:
@@ -548,34 +547,19 @@ def run_scenario(scenario: Scenario, seed: int) -> Report:
     Identical (kind, params, seed) triples produce identical canonical
     report bytes; trial failures are recorded, never raised.
     """
-    if scenario.kind not in SCENARIO_KINDS:
+    if scenario.kind not in _KINDS:
         raise ConfigError(f"unknown scenario kind {scenario.kind!r}")
+    _, run, setup = _KINDS[scenario.kind]
     start = time.perf_counter()
     trials: list[TrialRecord] = []
     n_trials = int(scenario.params.get("trials", 1))
     _require(n_trials >= 1, "trials must be at least 1")
-    shared = _shared_setup(scenario)
+    shared = setup(scenario.params)
     for index in range(n_trials):
         record = TrialRecord(index)
         rng = _trial_rng(seed, index)
         try:
-            if scenario.kind == "align":
-                record.certificates = _run_align_trial(scenario.params, rng,
-                                                       index)
-            elif scenario.kind == "correct_l1sum":
-                record.certificates = _run_correct_trial(scenario.params,
-                                                         rng, shared)
-            elif scenario.kind == "ahsp_direct_sum":
-                record.certificates = _run_ahsp_direct_sum_trial(
-                    scenario.params, rng, shared)
-            elif scenario.kind == "ahsp_lattice_sum":
-                record.certificates = _run_ahsp_lattice_sum_trial(
-                    scenario.params, rng, shared)
-            elif scenario.kind == "moduli_curve":
-                record.certificates = _run_moduli_trial(scenario.params, rng)
-            elif scenario.kind == "duality_check":
-                record.certificates = _run_duality_trial(scenario.params,
-                                                         rng, shared)
+            record.certificates = run(scenario.params, rng, index, shared)
         except ConfigError:
             raise
         except Exception as exc:  # per-trial failures are data, not crashes

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .absolute import AbsoluteNorm2
 from .errors import (NotUniformlyConvex, NotUniformlyMonotone, RangeError)
 from .lattices import (Absolute2Lattice, FiniteLattice, LpLattice,
                        WeightedL1Lattice)
@@ -195,27 +194,6 @@ def convexity_modulus(space: NormedSpace, epsilon: float,
 # -- uniform monotonicity ---------------------------------------------------
 
 
-def _sup_height_at(n: AbsoluteNorm2, cut: float) -> float:
-    """sup of the second coordinate over unit pairs (a, b) >= 0 with a >= cut."""
-    if n.kind == "lp":
-        if n.p == math.inf:
-            return 1.0 if cut <= 1.0 else 0.0
-        if cut > 1.0:
-            return 0.0
-        return (1.0 - cut ** n.p) ** (1.0 / n.p)
-    worst = None
-    verts = n._vertices
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-        for x, y in ((x0, y0), (x1, y1)):
-            if x >= cut - 1e-15:
-                worst = y if worst is None else max(worst, y)
-        if (x0 - cut) * (x1 - cut) < 0.0:
-            t = (cut - x0) / (x1 - x0)
-            y = y0 + t * (y1 - y0)
-            worst = y if worst is None else max(worst, y)
-    return 0.0 if worst is None else worst
-
-
 def _two_block_residual(lattice: FiniteLattice, epsilon: float,
                         size_a: int) -> float:
     """Largest norm retained off a subset carrying norm epsilon, for the
@@ -230,8 +208,8 @@ def _two_block_residual(lattice: FiniteLattice, epsilon: float,
         n = lattice.norm2
         if size_a == 1:
             # A = {first}: completion height over first coordinate >= eps.
-            return _sup_height_at(n, epsilon)
-        return _sup_height_at(n.swapped(), epsilon)
+            return n.sup_height(epsilon)
+        return n.swapped().sup_height(epsilon)
     raise RangeError(f"unsupported lattice kind {type(lattice).__name__}")
 
 

@@ -34,7 +34,18 @@ def canonical_json(data) -> str:
     """Serialize ``data`` to a canonical JSON string.
 
     Keys are sorted, separators are fixed, and floats keep full ``repr``
-    precision, so equal inputs always produce identical bytes.
+    precision, so equal inputs always produce identical bytes.  Non-finite
+    floats, which strict JSON cannot hold, are written as the strings
+    ``"NaN"``, ``"Infinity"`` and ``"-Infinity"``; finite payloads take the
+    strict path alone.
     """
-    return json.dumps(data, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False, default=_canonical_default)
+    try:
+        return json.dumps(data, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False, default=_canonical_default)
+    except ValueError:
+        # the lenient dump writes NaN/Infinity/-Infinity tokens, which
+        # parse back as the strings of the same names
+        tagged = json.loads(json.dumps(data, default=_canonical_default),
+                            parse_constant=str)
+        return json.dumps(tagged, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)

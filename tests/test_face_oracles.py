@@ -1,0 +1,153 @@
+"""Face oracles, the sphere-polygon walk and the SLSQP face projection."""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from bpbkit import ahsp
+from bpbkit.absolute import AbsoluteNorm2
+from bpbkit.ahsp import (PolyhedralPlaneAhspOracle, UniformlyConvexAhpOracle,
+                         UniformlyConvexAhspOracle,
+                         ahp_oracle_uniformly_convex, finite_dim_witness)
+from bpbkit.bpb import ConvexSeries
+from bpbkit.errors import NotUniformlyConvex, RangeError
+from bpbkit.lattices import LpLattice
+from bpbkit.moduli import convexity_modulus
+from bpbkit.spaces import (DirectSumSpace, EuclideanSpace, LatticeSpace,
+                           LpSpace, PlaneSpace)
+
+TABLE = AbsoluteNorm2.from_table([(0.0, 1.0), (0.5, 10.0 / 11.0), (1.0, 1.0)])
+EPSILONS = [1e-6, 0.01, 0.1, 0.37, 0.8, 1.0, 1.5, 1.99, 2.0]
+
+
+class TestUniformlyConvexOracle:
+    def test_one_class_behind_every_name(self):
+        assert UniformlyConvexAhpOracle is UniformlyConvexAhspOracle
+        oracle = ahp_oracle_uniformly_convex(EuclideanSpace(2))
+        assert type(oracle) is UniformlyConvexAhspOracle
+
+    @pytest.mark.parametrize("space,modulus_space", [
+        (EuclideanSpace(3), EuclideanSpace(3)),
+        (LpSpace(2, 1.5), LpSpace(2, 1.5)),
+        (LpSpace(3, 4.0), LpSpace(3, 4.0)),
+        (PlaneSpace(AbsoluteNorm2.lp(3.0)), LpSpace(2, 3.0)),
+        (PlaneSpace(AbsoluteNorm2.lp(1.25)), LpSpace(2, 1.25)),
+    ])
+    def test_delta_is_the_closed_form_modulus(self, space, modulus_space):
+        oracle = ahp_oracle_uniformly_convex(space)
+        for eps in EPSILONS:
+            assert oracle.delta(eps) == convexity_modulus(
+                modulus_space, eps, method="closed_form")
+            assert oracle.eta_ball(eps) == oracle.delta(eps)
+
+    @pytest.mark.parametrize("space", [
+        LpSpace(2, 1.0),
+        LpSpace(3, math.inf),
+        PlaneSpace(TABLE),
+        PlaneSpace(AbsoluteNorm2.lp(1.0)),
+        LatticeSpace(LpLattice(3, 2.0)),
+        DirectSumSpace([EuclideanSpace(2), EuclideanSpace(2)],
+                       LpLattice(2, 2.0)),
+    ])
+    def test_flat_or_unsupported_kinds_refused(self, space):
+        with pytest.raises(NotUniformlyConvex):
+            ahp_oracle_uniformly_convex(space)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 2.0001, 3.0])
+    def test_delta_domain(self, eps):
+        oracle = ahp_oracle_uniformly_convex(EuclideanSpace(2))
+        with pytest.raises(RangeError):
+            oracle.delta(eps)
+
+    def test_face_point_is_the_attaining_vector(self):
+        space = LpSpace(3, 3.0)
+        oracle = ahp_oracle_uniformly_convex(space)
+        f = space.norming_functional(np.array([0.2, -0.7, 0.4]))
+        np.testing.assert_array_equal(oracle.upsilon(f), f)
+        np.testing.assert_array_equal(oracle.face_point(f, np.zeros(3)),
+                                      space.attaining_vector(f))
+
+
+class TestSharedWitnessBall:
+    @pytest.mark.parametrize("oracle", [
+        UniformlyConvexAhspOracle(EuclideanSpace(2)),
+        PolyhedralPlaneAhspOracle(PlaneSpace(TABLE)),
+    ], ids=["uniformly-convex", "polyhedral"])
+    def test_points_land_on_the_face(self, oracle):
+        space = oracle.space
+        x = space.coerce(np.array([0.8, 0.45]))
+        x = x / space.norm(x)
+        f = space.norming_functional(x)
+        points = [x, 0.999 * x]
+        kept, faces, out = oracle.witness_ball([0.5, 0.5], points, f, 0.2)
+        assert kept == (0, 1)
+        np.testing.assert_array_equal(out, f)
+        for p, z in zip(points, faces):
+            assert abs(space.norm(z) - 1.0) < 1e-9
+            assert abs(float(np.dot(f, z)) - 1.0) < 1e-9
+            assert space.norm(p - z) < 0.2
+
+
+class TestSupHeight:
+    # The polygon walk of a table and the closed form of the same p-norm
+    # must agree: l1 and l-infinity written as tables.
+    @pytest.mark.parametrize("closed,table", [
+        (AbsoluteNorm2.lp(1.0),
+         AbsoluteNorm2.from_table([(0.0, 1.0), (1.0, 1.0)])),
+        (AbsoluteNorm2.lp(math.inf),
+         AbsoluteNorm2.from_table([(0.0, 1.0), (0.5, 0.5), (1.0, 1.0)])),
+    ], ids=["l1", "linf"])
+    def test_walk_matches_closed_form(self, closed, table):
+        for cut in np.linspace(0.0, 1.2, 49):
+            assert table.sup_height(float(cut)) == pytest.approx(
+                closed.sup_height(float(cut)), abs=1e-12)
+
+    def test_table_polygon(self):
+        # sphere vertices (1, 0), (0.55, 0.55), (0, 1)
+        assert TABLE.sup_height(0.0) == 1.0
+        assert TABLE.sup_height(0.55) == pytest.approx(0.55)
+        assert TABLE.sup_height(0.775) == pytest.approx(0.275)
+        assert TABLE.sup_height(1.0) == pytest.approx(0.0, abs=1e-12)
+        assert TABLE.sup_height(1.5) == 0.0
+
+
+def near_collinear_series(space, seed: int, count: int = 4,
+                          spread: float = 1e-3) -> ConvexSeries:
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(space.dim)
+    u /= space.norm(u)
+    points = []
+    for _ in range(count):
+        x = u + spread * rng.standard_normal(space.dim)
+        points.append(x / space.norm(x))
+    weights = rng.uniform(0.5, 1.0, size=count)
+    return ConvexSeries(weights / weights.sum(), np.array(points))
+
+
+class TestOptimizedFacePoint:
+    # Lattice and direct-sum kinds have no closed-form face, so every face
+    # point comes from the SLSQP projection; in dimension 4 the brute-force
+    # retry (dimension <= 3) cannot stand in for it.
+    @pytest.mark.parametrize("space", [
+        LatticeSpace(LpLattice(4, 3.0)),
+        DirectSumSpace([EuclideanSpace(2), EuclideanSpace(2)],
+                       LpLattice(2, 2.0)),
+    ], ids=["lattice", "direct_sum"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_witness_certificates_pass(self, monkeypatch, space, seed):
+        calls = []
+        original = ahsp._optimized_face_point
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ahsp, "_optimized_face_point", counted)
+        series = near_collinear_series(space, seed)
+        witness = finite_dim_witness(space, series, 0.3, 0.01)
+        assert space.dim == 4
+        assert len(calls) == len(witness.indices) == 4
+        assert witness.certificates
+        assert all(c.passed for c in witness.certificates)
