@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, NotANorm, NotOnSphere, RangeError
+from .errors import (DegenerateInput, DimensionError, NotANorm, NotOnSphere,
+                     RangeError)
 from .util import TOL_SPHERE, as_pair
 
 _NODE_TOL = 1e-12
@@ -218,6 +219,28 @@ class AbsoluteNorm2:
         if s == 0.0:
             return 0.0
         return s * self.psi(b / s)
+
+    def values(self, rows) -> np.ndarray:
+        """:meth:`value` of every row of an ``(n, 2)`` array, in one pass."""
+        arr = np.abs(np.asarray(rows, dtype=float))
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise DimensionError(f"expected an (n, 2) array, got shape {arr.shape}")
+        a, b = arr[:, 0], arr[:, 1]
+        if self.kind == "lp":
+            if self.p == math.inf:
+                return np.maximum(a, b)
+            if self.p == 1.0:
+                return a + b
+            if self.p == 2.0:
+                return np.hypot(a, b)
+            m = np.maximum(a, b)
+            scale = np.where(m == 0.0, 1.0, m)
+            return m * ((a / scale) ** self.p
+                        + (b / scale) ** self.p) ** (1.0 / self.p)
+        s = a + b
+        return s * np.interp(b / np.where(s == 0.0, 1.0, s),
+                             [n[0] for n in self.nodes],
+                             [n[1] for n in self.nodes])
 
     def dual_value(self, x) -> float:
         """Norm of a functional (c, d) acting as (a, b) -> c*a + d*b."""

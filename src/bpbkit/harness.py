@@ -123,6 +123,17 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _number(value, key: str, cast=float):
+    """``cast(value)`` for the scenario param ``key``; a value that does not
+    convert is a :class:`ConfigError` naming the key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(
+            f"param {key!r} must be {kind}, got {value!r}") from exc
+
+
 def scenario_from_json(data: dict) -> Scenario:
     _require(isinstance(data, dict), "a scenario must be a JSON object")
     extra = set(data) - {"kind", "params"}
@@ -164,7 +175,7 @@ def _jittered_direction(rng: np.random.Generator, base: np.ndarray,
 
 def generate_align_instance(params: dict, rng: np.random.Generator,
                             trial_index: int = 0) -> dict:
-    dim = int(params.get("dim", 2))
+    dim = _number(params.get("dim", 2), "dim", int)
     _require(dim >= 1, "dim must be at least 1")
     field_name = params.get("scalar_field", "real")
     _require(field_name in ("real", "complex"),
@@ -196,10 +207,11 @@ def generate_correct_l1sum_instance(params: dict,
     by its certified norm and the input perturbed well inside the t^2
     budget.
     """
-    epsilon = float(params.get("epsilon", 0.2))
-    max_components = int(params.get("max_components", 5))
-    max_dim = int(params.get("max_dim", 4))
-    h_dim = int(params.get("h_dim", rng.integers(1, 5)))
+    epsilon = _number(params.get("epsilon", 0.2), "epsilon")
+    max_components = _number(params.get("max_components", 5),
+                             "max_components", int)
+    max_dim = _number(params.get("max_dim", 4), "max_dim", int)
+    h_dim = _number(params.get("h_dim", rng.integers(1, 5)), "h_dim", int)
     _require(max_components >= 1 and max_dim >= 1 and h_dim >= 1,
              "component counts and dimensions must be positive")
     n_comp = int(rng.integers(1, max_components + 1))
@@ -299,8 +311,8 @@ def _case3_mixed_profiles(f: AbsoluteNorm2, count: int,
 def generate_ahsp_direct_sum_instance(params: dict,
                                       rng: np.random.Generator) -> dict:
     f = _plane_norm_from_params(params)
-    epsilon = float(params.get("epsilon", 0.2))
-    count = int(params.get("members", 6))
+    epsilon = _number(params.get("epsilon", 0.2), "epsilon")
+    count = _number(params.get("members", 6), "members", int)
     _require(count >= 1, "members must be positive")
     case = str(params.get("case", "3"))
     _require(case in ("1", "2", "3", "3-mixed"),
@@ -341,17 +353,19 @@ def generate_ahsp_lattice_sum_instance(params: dict,
     shared = _ahsp_lattice_sum_setup(params)
     E, Z, pol = shared["E"], shared["space"], shared["policy"]
     m = E.dim
-    count = int(params.get("members", 6))
+    count = _number(params.get("members", 6), "members", int)
     zero_branch = bool(params.get("zero_branch", False))
 
     # spreads scale with the policy: member profiles must sit well inside
     # the profile-level tolerance eps', and the convex-sum value deficit
     # (half the squared direction spread) well inside the 1-r filter gap
-    prof_spread = float(params.get(
-        "profile_spread", min(PROFILE_SPREAD, 0.05 * pol.epsilon_prime)))
-    dir_spread = float(params.get(
+    prof_spread = _number(params.get(
+        "profile_spread", min(PROFILE_SPREAD, 0.05 * pol.epsilon_prime)),
+        "profile_spread")
+    dir_spread = _number(params.get(
         "direction_spread",
-        min(DIRECTION_SPREAD, np.sqrt(0.02 * (1.0 - pol.r)))))
+        min(DIRECTION_SPREAD, np.sqrt(0.02 * (1.0 - pol.r)))),
+        "direction_spread")
 
     base_prof = rng.uniform(0.4, 1.0, size=m)
     if zero_branch:
@@ -375,11 +389,11 @@ def generate_ahsp_lattice_sum_instance(params: dict,
 
 def generate_duality_instance(params: dict,
                               rng: np.random.Generator) -> dict:
-    p = float(params.get("p", 2.0))
-    m = int(params.get("num_components", 3))
+    p = _number(params.get("p", 2.0), "p")
+    m = _number(params.get("num_components", 3), "num_components", int)
     _require(m >= 1, "a lattice sum needs at least one component")
-    dims = [int(rng.integers(1, int(params.get("max_dim", 4)) + 1))
-            for _ in range(m)]
+    max_dim = _number(params.get("max_dim", 4), "max_dim", int)
+    dims = [int(rng.integers(1, max_dim + 1)) for _ in range(m)]
     E = LpLattice(m, p)
     Z = lattice_sum_space(E, [EuclideanSpace(d) for d in dims])
     f = rng.standard_normal(Z.dim)
@@ -403,10 +417,17 @@ def _plane_norm_from_params(params: dict) -> AbsoluteNorm2:
         # piecewise-linear generator with the sphere vertex (0.55, 0.55)
         nodes = params.get("nodes", [[0.0, 1.0], [0.5, 10.0 / 11.0],
                                      [1.0, 1.0]])
-        return AbsoluteNorm2.from_table([tuple(map(float, n))
+        _require(isinstance(nodes, (list, tuple))
+                 and all(isinstance(n, (list, tuple)) for n in nodes),
+                 "nodes must be a list of [u, psi] pairs")
+        return AbsoluteNorm2.from_table([tuple(_number(v, "nodes") for v in n)
                                          for n in nodes])
     if isinstance(kind, dict):
-        return AbsoluteNorm2.from_params(kind)
+        try:
+            return AbsoluteNorm2.from_params(kind)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"param 'f' is a malformed plane norm: {exc!r}") from exc
     raise ConfigError(f"unknown plane norm spec {kind!r}")
 
 
@@ -442,7 +463,8 @@ def _run_ahsp_direct_sum_trial(params, rng, index, shared) -> list[Certificate]:
     certs = list(witness.certificates)
     if params.get("restrict") is not None:
         restricted = restrict_witness(inst["space"], witness,
-                                      int(params["restrict"]))
+                                      _number(params["restrict"],
+                                              "restrict", int))
         certs.extend(restricted.certificates)
     return certs
 
@@ -460,8 +482,10 @@ def _run_ahsp_lattice_sum_trial(params, rng, index, shared) -> list[Certificate]
 def _run_duality_trial(params, rng, index, shared) -> list[Certificate]:
     inst = generate_duality_instance(params, rng)
     return duality_isometry_check(inst["space"], inst["functional"],
-                                  seed=int(params.get("sample_seed", 0)),
-                                  samples=int(params.get("samples", 50)))
+                                  seed=_number(params.get("sample_seed", 0),
+                                               "sample_seed", int),
+                                  samples=_number(params.get("samples", 50),
+                                                  "samples", int))
 
 
 def _run_moduli_trial(params, rng, index, shared) -> list[Certificate]:
@@ -473,7 +497,10 @@ def _run_moduli_trial(params, rng, index, shared) -> list[Certificate]:
     eps = params.get("epsilons")
     if eps is None:
         hi = 1.99 if modulus == "convexity" else 0.99
-        eps = np.linspace(0.05, hi, int(params.get("count", 16))).tolist()
+        eps = np.linspace(0.05, hi,
+                          _number(params.get("count", 16), "count", int)).tolist()
+    _require(isinstance(eps, (list, tuple)), "epsilons must be a list")
+    eps = [_number(e, "epsilons") for e in eps]
     space = (space_from_json(space_data) if isinstance(space_data, dict)
              else space_data)
     if modulus == "convexity":
@@ -506,12 +533,13 @@ def _ahsp_direct_sum_setup(params: dict) -> dict:
     oN = ahsp_oracle_for(EuclideanSpace(2))
     return {"oracle_M": oM, "oracle_N": oN,
             "policy": eta_policy(f, oM, oN,
-                                 float(params.get("epsilon", 0.2)))}
+                                 _number(params.get("epsilon", 0.2),
+                                         "epsilon"))}
 
 
 def _ahsp_lattice_sum_setup(params: dict) -> dict:
-    p = float(params.get("p", 2.0))
-    m = int(params.get("num_components", 3))
+    p = _number(params.get("p", 2.0), "p")
+    m = _number(params.get("num_components", 3), "num_components", int)
     _require(m >= 1, "a lattice sum needs at least one component")
     E = LpLattice(m, p)
     components = [EuclideanSpace(2) for _ in range(m)]
@@ -520,7 +548,8 @@ def _ahsp_lattice_sum_setup(params: dict) -> dict:
     oracle = default_profile_oracle(E)
     return {"E": E, "space": Z, "E_oracle": oracle, "component_ahp": ahp,
             "policy": lattice_sum_policy(
-                Z, float(params.get("epsilon", 0.2)), ahp, oracle)}
+                Z, _number(params.get("epsilon", 0.2), "epsilon"), ahp,
+                oracle)}
 
 
 #: Every scenario kind: (instance generator, or None when trials build no
@@ -552,7 +581,7 @@ def run_scenario(scenario: Scenario, seed: int) -> Report:
     _, run, setup = _KINDS[scenario.kind]
     start = time.perf_counter()
     trials: list[TrialRecord] = []
-    n_trials = int(scenario.params.get("trials", 1))
+    n_trials = _number(scenario.params.get("trials", 1), "trials", int)
     _require(n_trials >= 1, "trials must be at least 1")
     shared = setup(scenario.params)
     for index in range(n_trials):

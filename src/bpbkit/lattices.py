@@ -30,9 +30,20 @@ class FiniteLattice(ABC):
                 f"expected a vector of length {self.dim}, got {arr.size}")
         return arr
 
+    def _coerce_rows(self, rows) -> np.ndarray:
+        arr = np.asarray(rows, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != self.dim:
+            raise DimensionError(
+                f"expected an (n, {self.dim}) array, got shape {arr.shape}")
+        return arr
+
     @abstractmethod
     def norm_of(self, x) -> float:
         ...
+
+    @abstractmethod
+    def norms(self, rows) -> np.ndarray:
+        """The norms of the rows of an ``(n, dim)`` array, in one pass."""
 
     @abstractmethod
     def dual_norm_of(self, c) -> float:
@@ -85,6 +96,16 @@ class LpLattice(FiniteLattice):
         if m == 0.0:
             return 0.0
         return m * float(((arr / m) ** self.p).sum()) ** (1.0 / self.p)
+
+    def norms(self, rows) -> np.ndarray:
+        arr = np.abs(self._coerce_rows(rows))
+        if self.p == math.inf:
+            return arr.max(axis=1)
+        if self.p == 1.0:
+            return arr.sum(axis=1)
+        m = arr.max(axis=1)
+        scale = np.where(m == 0.0, 1.0, m)[:, None]
+        return m * ((arr / scale) ** self.p).sum(axis=1) ** (1.0 / self.p)
 
     def dual_norm_of(self, c) -> float:
         return LpLattice(self.dim, dual_exponent(self.p)).norm_of(c)
@@ -152,6 +173,9 @@ class WeightedL1Lattice(FiniteLattice):
     def norm_of(self, x) -> float:
         return float(self.weights @ np.abs(self._coerce(x)))
 
+    def norms(self, rows) -> np.ndarray:
+        return np.abs(self._coerce_rows(rows)) @ self.weights
+
     def dual_norm_of(self, c) -> float:
         return float(np.max(np.abs(self._coerce(c)) / self.weights))
 
@@ -187,6 +211,9 @@ class Absolute2Lattice(FiniteLattice):
 
     def norm_of(self, x) -> float:
         return self.norm2.value(self._coerce(x))
+
+    def norms(self, rows) -> np.ndarray:
+        return self.norm2.values(self._coerce_rows(rows))
 
     def dual_norm_of(self, c) -> float:
         return self.norm2.dual_value(self._coerce(c))

@@ -117,46 +117,43 @@ def _halton_directions(dim: int, count: int) -> np.ndarray:
 def _brute_force_convexity(space: NormedSpace, eps: float,
                            resolution: int = 1000) -> float:
     """Estimator: sample unit pairs, slide one endpoint along the sphere to
-    chord length exactly eps, and take the worst midpoint depth."""
+    chord length exactly eps, and take the worst midpoint depth.
+
+    All (pair, +-target) rows bisect together, each norm evaluation one
+    ``space.norms`` call over every row.
+    """
     dim = space.dim
     if dim == 1:
         # The only unit pairs are +-1; separated pairs have midpoint 0.
         return 1.0 if eps > 0.0 else 0.0
     dirs = _halton_directions(2 * dim, resolution)
-    best = 1.0
-    for row in dirs:
-        a = row[:dim]
-        b = row[dim:]
-        na, nb = space.norm(a), space.norm(b)
-        if na == 0.0 or nb == 0.0:
-            continue
-        x = np.asarray(a, dtype=float) / na
-        y0 = np.asarray(b, dtype=float) / nb
-        # Walk y from x (chord 0) toward y0 resp. -y0 until the chord is eps.
-        for target in (y0, -y0):
-            if space.norm(x - target) < eps:
-                continue
-            lo, hi = 0.0, 1.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                cand = (1.0 - mid) * x + mid * target
-                ncand = space.norm(cand)
-                if ncand == 0.0:
-                    hi = mid
-                    continue
-                cand = cand / ncand
-                if space.norm(x - cand) < eps:
-                    lo = mid
-                else:
-                    hi = mid
-            cand = (1.0 - hi) * x + hi * target
-            ncand = space.norm(cand)
-            if ncand == 0.0:
-                continue
-            y = cand / ncand
-            if space.norm(x - y) >= eps * (1.0 - 1e-9):
-                best = min(best, 1.0 - space.norm((x + y) / 2.0))
-    return max(best, 0.0)
+    a, b = dirs[:, :dim], dirs[:, dim:]
+    na, nb = space.norms(a), space.norms(b)
+    keep = (na != 0.0) & (nb != 0.0)
+    x = a[keep] / na[keep, None]
+    y0 = b[keep] / nb[keep, None]
+    # Walk y from x (chord 0) toward y0 resp. -y0 until the chord is eps.
+    x = np.concatenate([x, x])
+    target = np.concatenate([y0, -y0])
+    far = space.norms(x - target) >= eps
+    x, target = x[far], target[far]
+    lo, hi = np.zeros(len(x)), np.ones(len(x))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        cand = (1.0 - mid)[:, None] * x + mid[:, None] * target
+        ncand = space.norms(cand)
+        zero = ncand == 0.0
+        cand = cand / np.where(zero, 1.0, ncand)[:, None]
+        short = ~zero & (space.norms(x - cand) < eps)
+        lo = np.where(short, mid, lo)
+        hi = np.where(short, hi, mid)
+    cand = (1.0 - hi)[:, None] * x + hi[:, None] * target
+    ncand = space.norms(cand)
+    nonzero = ncand != 0.0
+    x, y = x[nonzero], cand[nonzero] / ncand[nonzero, None]
+    valid = space.norms(x - y) >= eps * (1.0 - 1e-9)
+    depth = 1.0 - space.norms((x[valid] + y[valid]) / 2.0)
+    return max(float(depth.min(initial=1.0)), 0.0)
 
 
 def convexity_modulus(space: NormedSpace, epsilon: float,

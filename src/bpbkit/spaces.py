@@ -63,11 +63,27 @@ class NormedSpace(ABC):
             arr = arr.real
         return arr.astype(self.dtype)
 
+    def coerce_rows(self, rows) -> np.ndarray:
+        """:meth:`coerce` for every row of an ``(n, dim)`` array at once."""
+        arr = np.asarray(rows)
+        if arr.ndim != 2 or arr.shape[1] != self.dim:
+            raise DimensionError(
+                f"expected an (n, {self.dim}) array, got shape {arr.shape}")
+        if self.scalar_field == "real" and np.iscomplexobj(arr):
+            if np.any(arr.imag != 0.0):
+                raise RangeError("this space is real; complex coordinates are invalid")
+            arr = arr.real
+        return arr.astype(self.dtype)
+
     # -- core operations --------------------------------------------------
 
     @abstractmethod
     def norm(self, x) -> float:
         ...
+
+    @abstractmethod
+    def norms(self, rows) -> np.ndarray:
+        """The norms of the rows of an ``(n, dim)`` array, coerced once."""
 
     @abstractmethod
     def dual_norm(self, f) -> float:
@@ -139,6 +155,9 @@ class EuclideanSpace(NormedSpace):
     def norm(self, x) -> float:
         return float(np.linalg.norm(self.coerce(x)))
 
+    def norms(self, rows) -> np.ndarray:
+        return np.linalg.norm(self.coerce_rows(rows), axis=1)
+
     def dual_norm(self, f) -> float:
         return float(np.linalg.norm(self.coerce(f)))
 
@@ -181,6 +200,9 @@ class LpSpace(NormedSpace):
     def norm(self, x) -> float:
         return self._lat.norm_of(self.coerce(x))
 
+    def norms(self, rows) -> np.ndarray:
+        return self._lat.norms(self.coerce_rows(rows))
+
     def dual_norm(self, f) -> float:
         return self._lat.dual_norm_of(self.coerce(f))
 
@@ -210,6 +232,9 @@ class PlaneSpace(NormedSpace):
     def norm(self, x) -> float:
         return self.generator.value(self.coerce(x))
 
+    def norms(self, rows) -> np.ndarray:
+        return self.generator.values(self.coerce_rows(rows))
+
     def dual_norm(self, f) -> float:
         return self.generator.dual_value(self.coerce(f))
 
@@ -237,6 +262,9 @@ class LatticeSpace(NormedSpace):
 
     def norm(self, x) -> float:
         return self.lattice.norm_of(self.coerce(x))
+
+    def norms(self, rows) -> np.ndarray:
+        return self.lattice.norms(self.coerce_rows(rows))
 
     def dual_norm(self, f) -> float:
         return self.lattice.dual_norm_of(self.coerce(f))
@@ -305,6 +333,13 @@ class DirectSumSpace(NormedSpace):
 
     def norm(self, x) -> float:
         return self.combiner.norm_of(self.profile(x))
+
+    def norms(self, rows) -> np.ndarray:
+        arr = self.coerce_rows(rows)
+        profiles = np.column_stack([
+            comp.norms(arr[:, lo:hi]) for comp, lo, hi
+            in zip(self.components, self.offsets[:-1], self.offsets[1:])])
+        return self.combiner.norms(profiles)
 
     def dual_norm(self, f) -> float:
         return self.combiner.dual_norm_of(self.dual_profile(f))

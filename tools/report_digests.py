@@ -44,6 +44,11 @@ GRID = [
     ("moduli_curve", {"space": EuclideanSpace(3).to_json(), "count": 12}),
     ("moduli_curve", {"space": LpSpace(3, 1.5).to_json(), "count": 12}),
     ("moduli_curve", {"space": LpSpace(2, 4.0).to_json(), "count": 12}),
+    # no closed form: these two reach the brute-force estimator
+    ("moduli_curve", {"space": PlaneSpace(TABLE).to_json(),
+                      "method": "brute_force", "count": 3}),
+    ("moduli_curve", {"space": LatticeSpace(LpLattice(3, 3.0)).to_json(),
+                      "method": "brute_force", "count": 3}),
     ("moduli_curve", {"space": LpSpace(3, 3.0).to_json(),
                       "modulus": "monotonicity", "count": 12}),
     ("moduli_curve", {"space": PlaneSpace(AbsoluteNorm2.lp(2.5)).to_json(),
