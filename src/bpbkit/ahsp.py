@@ -8,8 +8,9 @@ unit functional, and unit points z_k in that functional's face with
 * face-approximation oracles for uniformly convex spaces (the modulus of
   convexity drives the distance guarantee) and for polyhedral planes
   (faces are segments; a positive gap separates off-face vertices);
-* a finite-dimensional witness constructor (norming functional, mass
-  filter, per-kind exact face projections, brute-force fallback);
+* one face projection per space kind, shared by the oracles and the
+  finite-dimensional witness constructor (norming functional, mass filter,
+  projection, verification);
 * the two-summand pipeline: profile-level witness in the plane, lifted
   points, a heavy-set filter, and a three-way case split on the dual
   components of the norming functional, every promised inequality being
@@ -156,11 +157,13 @@ def _project_segment(gen: AbsoluteNorm2, p: np.ndarray, va: np.ndarray,
 def _polyhedral_face_point(plane: PlaneSpace, functional, x) -> np.ndarray:
     """Nearest point to ``x`` on the face of ``functional`` (polyhedral
     generator): the face is the convex hull of the sphere vertices the
-    functional supports, pushed into the functional's sign quadrant."""
+    functional supports, pushed into the functional's sign quadrant.  Where
+    the functional vanishes the face is symmetric across that axis, and the
+    norm is absolute, so the nearest point shares ``x``'s sign there."""
     gen = plane.generator
     fv = plane.coerce(functional)
     xv = plane.coerce(x)
-    signs = np.where(fv < 0.0, -1.0, 1.0)
+    signs = np.where(np.where(fv == 0.0, xv, fv) < 0.0, -1.0, 1.0)
     verts = [signs * np.array(v) for v in gen.face_vertices(np.abs(fv))]
     best = None
     best_d = math.inf
@@ -175,19 +178,26 @@ def _polyhedral_face_point(plane: PlaneSpace, functional, x) -> np.ndarray:
     return best
 
 
-def _exact_face_point(space: NormedSpace, x_star, x):
-    """Per-kind exact projection onto the face of ``x_star``; None when the
-    kind has no closed-form face."""
-    if space.kind == "euclidean":
-        return space.attaining_vector(x_star)
-    if space.kind == "lp" and 1.0 < space.p < math.inf:
-        return space.attaining_vector(x_star)
+def _rotund(space: NormedSpace) -> bool:
+    """Whether every face of the space is a single point: euclidean, lp with
+    1 < p < inf, and planes with a smooth generator."""
     if space.kind == "absolute2":
-        if space.generator.is_smooth:
-            return space.attaining_vector(x_star)
-        return _polyhedral_face_point(space, x_star, x)
+        return space.generator.is_smooth
+    return space.kind == "euclidean" or (space.kind == "lp"
+                                         and 1.0 < space.p < math.inf)
+
+
+def _face_point(space: NormedSpace, functional, x) -> np.ndarray:
+    """Nearest point to ``x`` on the face of the unit ``functional``, one
+    rule per kind: the attaining vector when the face is a point, the
+    polygon search on polyhedral planes, closed forms for lp(1) and
+    lp(inf), and the SLSQP projection for every other kind."""
+    if _rotund(space):
+        return space.attaining_vector(functional)
+    if space.kind == "absolute2":
+        return _polyhedral_face_point(space, functional, x)
     if space.kind == "lp" and space.p == 1.0:
-        fv = space.coerce(x_star)
+        fv = space.coerce(functional)
         xv = space.coerce(x)
         support = np.abs(fv) >= 1.0 - 1e-12
         sgn = np.where(fv < 0.0, -1.0, 1.0)
@@ -200,11 +210,11 @@ def _exact_face_point(space: NormedSpace, x_star, x):
             return z
         return sgn * w / total
     if space.kind == "lp" and space.p == math.inf:
-        fv = space.coerce(x_star)
+        fv = space.coerce(functional)
         xv = space.coerce(x)
         sgn = np.where(fv < 0.0, -1.0, 1.0)
         return np.where(np.abs(fv) > 1e-15, sgn, np.clip(xv, -1.0, 1.0))
-    return None
+    return _optimized_face_point(space, functional, x)
 
 
 def _optimized_face_point(space: NormedSpace, x_star, x) -> np.ndarray:
@@ -227,39 +237,6 @@ def _optimized_face_point(space: NormedSpace, x_star, x) -> np.ndarray:
     return space.coerce(res.x)
 
 
-def _sphere_samples(space: NormedSpace, resolution: int) -> list[np.ndarray]:
-    if space.dim == 1:
-        dirs = [np.array([1.0]), np.array([-1.0])]
-    elif space.dim == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, 4 * resolution, endpoint=False)
-        dirs = [np.array([math.cos(a), math.sin(a)]) for a in angles]
-    else:
-        n = 8 * resolution
-        golden = math.pi * (3.0 - math.sqrt(5.0))
-        dirs = []
-        for i in range(n):
-            y = 1.0 - 2.0 * (i + 0.5) / n
-            rad = math.sqrt(max(0.0, 1.0 - y * y))
-            th = golden * i
-            dirs.append(np.array([rad * math.cos(th), y, rad * math.sin(th)]))
-    return [d / space.norm(d) for d in dirs]
-
-
-def _brute_force_face_point(space: NormedSpace, x_star, x,
-                            resolution: int = 2000) -> np.ndarray:
-    """Discretized-sphere face search (dimension <= 3): keep the sampled
-    unit vectors where the functional attains one, pick the nearest."""
-    fv = space.coerce(x_star)
-    xv = space.coerce(x)
-    samples = _sphere_samples(space, resolution)
-    vals = np.array([float(np.dot(fv, z)) for z in samples])
-    eligible = np.nonzero(vals >= 1.0 - 1e-12)[0]
-    if eligible.size == 0:
-        eligible = np.nonzero(vals >= vals.max() - 1e-12)[0]
-    best = min(eligible, key=lambda i: space.norm(samples[i] - xv))
-    return samples[best]
-
-
 def finite_dim_witness(space: NormedSpace, series: ConvexSeries,
                        epsilon: float, eta: float,
                        slack: float = 0.0) -> AhspWitness:
@@ -268,8 +245,8 @@ def finite_dim_witness(space: NormedSpace, series: ConvexSeries,
     The functional norms the weighted sum; the heavy set keeps the indices
     whose value exceeds ``1 - eta/epsilon`` (so its mass exceeds
     ``1 - epsilon``); each kept point is projected onto the functional's
-    face.  The result is verified before returning; in dimension <= 3 a
-    discretized-sphere search retries failures.
+    face.  The result is verified before returning, and
+    :class:`WitnessSearchFailed` reports the failed certificates.
     """
     if not 0.0 < epsilon < 1.0:
         raise RangeError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -298,27 +275,14 @@ def finite_dim_witness(space: NormedSpace, series: ConvexSeries,
             f"no series point exceeded the face threshold {r}",
             residuals={"max-value": float(values.max())})
 
-    def build(projector) -> AhspWitness:
-        zs = []
-        for k in A:
-            z = projector(space, x_star, pts[k])
-            if z is None:
-                z = _optimized_face_point(space, x_star, pts[k])
-            zs.append(space.coerce(z))
-        return AhspWitness(space, A, tuple(zs), x_star, epsilon)
-
-    projectors = [_exact_face_point]
-    if space.dim <= 3:
-        projectors.append(_brute_force_face_point)
-    for projector in projectors:
-        witness = build(projector)
-        report = verify_ahsp_witness(series, witness)
-        if all(c.passed for c in report):
-            return AhspWitness(space, A, witness.points, x_star, epsilon,
-                               tuple(report))
-    raise WitnessSearchFailed(
-        f"no witness met epsilon = {epsilon}",
-        residuals={c.name: c.margin for c in report if not c.passed})
+    zs = tuple(space.coerce(_face_point(space, x_star, pts[k])) for k in A)
+    report = verify_ahsp_witness(series, AhspWitness(space, A, zs, x_star,
+                                                     epsilon))
+    if not all(c.passed for c in report):
+        raise WitnessSearchFailed(
+            f"no witness met epsilon = {epsilon}",
+            residuals={c.name: c.margin for c in report if not c.passed})
+    return AhspWitness(space, A, zs, x_star, epsilon, tuple(report))
 
 
 # -- series-level oracles ---------------------------------------------------
@@ -362,17 +326,18 @@ class _FaceOracle(AhspOracle):
 
     ``eta(eps) = 0.9 eps theta(eps)``; series witnesses come from
     :func:`finite_dim_witness`, and ball witnesses project every point onto
-    the face of the given functional.  Subclasses supply ``theta``,
-    ``eta_ball`` and ``face_point``.
+    the face of the given functional.  Subclasses supply ``theta`` and
+    ``eta_ball``.
     """
 
     @abstractmethod
     def theta(self, epsilon: float) -> float:
         ...
 
-    @abstractmethod
-    def face_point(self, y_star: np.ndarray, x) -> np.ndarray:
-        ...
+    def face_point(self, y_star: np.ndarray, x=None) -> np.ndarray:
+        """Nearest point to ``x`` on the face of ``y_star`` (the face itself
+        when it is a single point, so ``x`` may be omitted there)."""
+        return _face_point(self.space, y_star, x)
 
     def eta(self, epsilon: float) -> float:
         return 0.9 * epsilon * self.theta(epsilon)
@@ -415,14 +380,11 @@ class UniformlyConvexAhspOracle(_FaceOracle):
     """
 
     def __init__(self, space: NormedSpace):
-        if space.kind == "absolute2" and space.generator.is_smooth:
-            self._modulus_space = LpSpace(2, space.generator.p)
-        elif space.kind == "euclidean" or (space.kind == "lp"
-                                           and 1.0 < space.p < math.inf):
-            self._modulus_space = space
-        else:
+        if not _rotund(space):
             raise NotUniformlyConvex(
                 f"space kind {space.kind!r} has no uniformly convex modulus here")
+        self._modulus_space = (LpSpace(2, space.generator.p)
+                               if space.kind == "absolute2" else space)
         self.space = space
 
     def delta(self, epsilon: float) -> float:
@@ -439,10 +401,6 @@ class UniformlyConvexAhspOracle(_FaceOracle):
     def upsilon(self, x_star: np.ndarray) -> np.ndarray:
         """Identity on the norming set (unit functionals)."""
         return self.space.coerce(x_star)
-
-    def face_point(self, y_star: np.ndarray, x=None) -> np.ndarray:
-        """The unique unit vector where ``y_star`` attains its norm."""
-        return self.space.attaining_vector(y_star)
 
 
 #: Former names of the uniformly convex face oracle and its factory.
@@ -470,10 +428,6 @@ class PolyhedralPlaneAhspOracle(_FaceOracle):
 
     def eta_ball(self, epsilon: float) -> float:
         return self.theta(epsilon)
-
-    def face_point(self, y_star: np.ndarray, x) -> np.ndarray:
-        """Nearest point to ``x`` on the face of ``y_star``."""
-        return _polyhedral_face_point(self.space, y_star, x)
 
 
 def ahsp_oracle_for(space: NormedSpace) -> AhspOracle:

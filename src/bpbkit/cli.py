@@ -53,6 +53,22 @@ def _load_json(path: str):
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _parse(what: str, read):
+    """``read()``, with a missing or malformed JSON field (a ``KeyError``,
+    ``TypeError`` or ``ValueError`` while reading) turned into a config
+    error that starts with ``what``."""
+    try:
+        return read()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _load_witness(path: str):
+    data = _load_json(path)
+    return _parse("a witness needs space, indices, points, functional, "
+                  "epsilon", lambda: witness_from_json(data))
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(payload))
@@ -69,11 +85,10 @@ def _print_certs(certs) -> int:
 
 
 def _series_from_json(data: dict) -> ConvexSeries:
-    try:
-        weights = np.asarray(data["weights"], dtype=float)
-        points = np.asarray(data["points"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"a series needs weights and points: {exc}") from exc
+    weights, points = _parse(
+        "a series needs weights and points",
+        lambda: (np.asarray(data["weights"], dtype=float),
+                 np.asarray(data["points"], dtype=float)))
     return ConvexSeries(weights, points)
 
 
@@ -82,6 +97,12 @@ def _direct_sum_from_json(data: dict) -> DirectSumSpace:
     if not isinstance(space, DirectSumSpace):
         raise ConfigError("the space must be a direct sum")
     return space
+
+
+def _sum_instance(data: dict) -> tuple[DirectSumSpace, float]:
+    return _parse("instance needs space, epsilon",
+                  lambda: (_direct_sum_from_json(data["space"]),
+                           float(data["epsilon"])))
 
 
 def _cmd_run(args) -> int:
@@ -101,20 +122,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    witness = witness_from_json(_load_json(args.witness))
+    witness = _load_witness(args.witness)
     series = _series_from_json(_load_json(args.instance))
     return _print_certs(verify_ahsp_witness(series, witness))
 
 
 def _cmd_correct_l1sum(args) -> int:
     data = _load_json(args.instance)
-    try:
-        op = Operator.from_json(data["operator"])
-        vector = np.asarray(data["vector"], dtype=float)
-        epsilon = float(data["epsilon"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"instance needs operator, vector, epsilon: {exc}") from exc
+    op, vector, epsilon = _parse(
+        "instance needs operator, vector, epsilon",
+        lambda: (Operator.from_json(data["operator"]),
+                 np.asarray(data["vector"], dtype=float),
+                 float(data["epsilon"])))
     domain = op.domain
     if not isinstance(domain, DirectSumSpace):
         raise ConfigError("the operator domain must be a direct sum")
@@ -132,22 +151,21 @@ def _cmd_correct_l1sum(args) -> int:
 
 def _cmd_ahsp_direct_sum(args) -> int:
     data = _load_json(args.instance)
-    space = _direct_sum_from_json(data["space"])
+    space, epsilon = _sum_instance(data)
     if len(space.components) != 2 or not isinstance(space.combiner,
                                                     Absolute2Lattice):
         raise ConfigError("an absolute-sum instance needs exactly two "
                           "components under a plane norm")
     series = _series_from_json(data)
     witness = direct_sum_witness(space.components[0], space.components[1],
-                                 space.combiner.norm2, series,
-                                 float(data["epsilon"]))
+                                 space.combiner.norm2, series, epsilon)
     if args.out:
         _write_json(args.out, witness.to_json())
     return _print_certs(witness.certificates)
 
 
 def _cmd_ahsp_restrict(args) -> int:
-    witness = witness_from_json(_load_json(args.witness))
+    witness = _load_witness(args.witness)
     if not isinstance(witness.space, DirectSumSpace):
         raise ConfigError("the witness space must be a direct sum")
     restricted = restrict_witness(witness.space, witness, args.component)
@@ -158,9 +176,9 @@ def _cmd_ahsp_restrict(args) -> int:
 
 def _cmd_ahsp_lattice_sum(args) -> int:
     data = _load_json(args.instance)
-    space = _direct_sum_from_json(data["space"])
+    space, epsilon = _sum_instance(data)
     series = _series_from_json(data)
-    witness = lattice_sum_witness(space, series, float(data["epsilon"]))
+    witness = lattice_sum_witness(space, series, epsilon)
     if args.out:
         _write_json(args.out, witness.to_json())
     return _print_certs(witness.certificates)
@@ -168,8 +186,10 @@ def _cmd_ahsp_lattice_sum(args) -> int:
 
 def _cmd_moduli_curve(args) -> int:
     space = space_from_json(_load_json(args.space))
-    epsilons = [float(tok) for tok in args.epsilons.split(",")
-                if tok.strip()]
+    epsilons = _parse("--epsilons takes comma-separated finite numbers",
+                      lambda: [_finite_float(tok)
+                               for tok in args.epsilons.split(",")
+                               if tok.strip()])
     if not epsilons:
         raise ConfigError("at least one epsilon is required")
     if args.modulus == "convexity":

@@ -15,6 +15,7 @@ independent check of the closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,13 +105,18 @@ def _hanner_delta(p: float, eps: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=16)
 def _halton_directions(dim: int, count: int) -> np.ndarray:
-    """Low-discrepancy direction samples via inverse-normal Halton points."""
+    """Low-discrepancy direction samples via inverse-normal Halton points.
+
+    The fixed seed makes the output a function of ``(dim, count)``, so it is
+    cached and returned read-only."""
     from scipy.stats import norm as _norm
     from scipy.stats.qmc import Halton
     eng = Halton(d=dim, scramble=True, seed=1234)
     u = eng.random(count)
     z = _norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z.flags.writeable = False
     return z
 
 
@@ -156,6 +162,13 @@ def _brute_force_convexity(space: NormedSpace, eps: float,
     return max(float(depth.min(initial=1.0)), 0.0)
 
 
+def _has_closed_form(space: NormedSpace) -> bool:
+    """Whether :func:`convexity_modulus` has a closed form for the space:
+    euclidean, or lp with 1 < p < inf."""
+    return space.kind == "euclidean" or (space.kind == "lp"
+                                         and space.p not in (1.0, math.inf))
+
+
 def convexity_modulus(space: NormedSpace, epsilon: float,
                       method: str = "auto", resolution: int = 1000) -> float:
     """Modulus of convexity at ``epsilon`` in (0, 2].
@@ -170,21 +183,18 @@ def convexity_modulus(space: NormedSpace, epsilon: float,
         raise RangeError(f"epsilon must lie in (0, 2], got {epsilon}")
     if method not in ("auto", "closed_form", "brute_force"):
         raise RangeError(f"unknown method {method!r}")
-    if method != "brute_force":
+    if method != "brute_force" and _has_closed_form(space):
         if space.kind == "euclidean":
             return 1.0 - math.sqrt(max(0.0, 1.0 - epsilon ** 2 / 4.0))
+        if space.dim == 1:
+            return 1.0
+        return _hanner_delta(space.p, epsilon)
+    if method == "closed_form":
         if space.kind == "lp":
-            if space.p in (1.0, math.inf):
-                if method == "closed_form":
-                    raise NotUniformlyConvex(
-                        f"lp({space.p}) has flat faces; no closed-form modulus")
-            elif space.dim == 1:
-                return 1.0
-            else:
-                return _hanner_delta(space.p, epsilon)
-        elif method == "closed_form":
             raise NotUniformlyConvex(
-                f"no closed-form convexity modulus for kind {space.kind!r}")
+                f"lp({space.p}) has flat faces; no closed-form modulus")
+        raise NotUniformlyConvex(
+            f"no closed-form convexity modulus for kind {space.kind!r}")
     return _brute_force_convexity(space, epsilon, resolution)
 
 
@@ -255,9 +265,7 @@ def convexity_curve(space: NormedSpace, epsilons, method: str = "auto",
     samples = tuple((float(e), convexity_modulus(space, float(e), method,
                                                  resolution))
                     for e in epsilons)
-    used = ("closed_form"
-            if method != "brute_force" and space.kind in ("euclidean", "lp")
-            and getattr(space, "p", 2.0) not in (1.0, math.inf)
+    used = ("closed_form" if method != "brute_force" and _has_closed_form(space)
             else "brute_force")
     return ModulusCurve("convexity", space_descriptor(space), samples, used)
 

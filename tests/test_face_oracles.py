@@ -1,10 +1,13 @@
-"""Face oracles, the sphere-polygon walk and the SLSQP face projection."""
+"""Face oracles, the face projection per kind, the sphere-polygon walk and
+the SLSQP face projection."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpbkit import ahsp
 from bpbkit.absolute import AbsoluteNorm2
@@ -90,6 +93,65 @@ class TestSharedWitnessBall:
             assert space.norm(p - z) < 0.2
 
 
+class TestFlatFaceAcrossAnAxis:
+    # A functional that vanishes on an axis has a face symmetric across
+    # that axis; the projection must search both halves of it.
+    def test_linf_plane_points_on_both_sides(self):
+        oracle = PolyhedralPlaneAhspOracle(PlaneSpace(AbsoluteNorm2.lp(math.inf)))
+        points = [np.array([0.3, 1.0]), np.array([-0.5, 1.0])]
+        kept, faces, out = oracle.witness_ball([0.5, 0.5], points,
+                                               np.array([0.0, 1.0]), 0.1)
+        assert kept == (0, 1)
+        np.testing.assert_array_equal(out, [0.0, 1.0])
+        # the golden-section search lands within rounding of 0.3
+        np.testing.assert_allclose(faces[0], points[0], rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(faces[1], points[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                          max_size=4),
+           axis=st.sampled_from([0, 1]), sign=st.sampled_from([-1.0, 1.0]),
+           x=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+    def test_nearest_point_of_the_mirrored_face(self, lines, axis, sign, x):
+        gen = polyhedral_generator([(1.0, 0.0), (0.0, 1.0)] + lines)
+        plane = PlaneSpace(gen)
+        functional = np.zeros(2)
+        functional[1 - axis] = sign
+        xv = np.array(x)
+        z = ahsp._face_point(plane, functional, xv)
+        assert plane.norm(z) == pytest.approx(1.0, abs=1e-9)
+        assert float(np.dot(functional, z)) == pytest.approx(1.0, abs=1e-9)
+        mirror = np.ones(2)
+        mirror[axis] = -1.0
+        quadrant = np.where(functional < 0.0, -1.0, 1.0)
+        face = [quadrant * np.array(v)
+                for v in gen.face_vertices(np.abs(functional))]
+        nearest_vertex = min(plane.norm(xv - w)
+                             for v in face for w in (v, mirror * v))
+        assert plane.norm(xv - z) <= nearest_vertex + 1e-12
+
+
+def polyhedral_generator(lines) -> AbsoluteNorm2:
+    """The table of ``f(a, b) = max_i (c_i a + d_i b)`` for ``(c_i, d_i)``
+    in [0, 1]^2; the lines (1, 0) and (0, 1) make it normalized, and its
+    faces on the axes are flat unless a line has ``c_i = 1`` or ``d_i = 1``."""
+    def psi(u):
+        return max(c * (1.0 - u) + d * u for c, d in lines)
+
+    cuts = {0.0, 1.0}
+    for i, (c0, d0) in enumerate(lines):
+        for c1, d1 in lines[i + 1:]:
+            slope = (d0 - c0) - (d1 - c1)
+            if slope != 0.0 and 0.0 < (c1 - c0) / slope < 1.0:
+                cuts.add((c1 - c0) / slope)
+    nodes = []
+    for u in sorted(cuts):
+        if not nodes or u - nodes[-1][0] > 1e-9:
+            nodes.append((u, psi(u)))
+    nodes[-1] = (1.0, psi(1.0))
+    return AbsoluteNorm2.from_table(nodes)
+
+
 class TestSupHeight:
     # The polygon walk of a table and the closed form of the same p-norm
     # must agree: l1 and l-infinity written as tables.
@@ -128,8 +190,8 @@ def near_collinear_series(space, seed: int, count: int = 4,
 
 class TestOptimizedFacePoint:
     # Lattice and direct-sum kinds have no closed-form face, so every face
-    # point comes from the SLSQP projection; in dimension 4 the brute-force
-    # retry (dimension <= 3) cannot stand in for it.
+    # point comes from the SLSQP projection, and the witness is verified
+    # once with nothing to fall back on.
     @pytest.mark.parametrize("space", [
         LatticeSpace(LpLattice(4, 3.0)),
         DirectSumSpace([EuclideanSpace(2), EuclideanSpace(2)],

@@ -254,3 +254,65 @@ class TestCli:
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def lattice_sum_instance() -> dict:
+    Z = DirectSumSpace([EuclideanSpace(2), EuclideanSpace(3)],
+                       LpLattice(2, 1.0))
+    return {"space": Z.to_json(), "weights": [1.0],
+            "points": [[0.36, 0.48, 0.4, 0.0, 0.0]], "epsilon": 0.3}
+
+
+def without(data: dict, key: str) -> dict:
+    return {k: v for k, v in data.items() if k != key}
+
+
+def witness_without_indices() -> dict:
+    space = EuclideanSpace(2)
+    return {"space": space.to_json(), "points": [[1.0, 0.0]],
+            "functional": [1.0, 0.0], "epsilon": 0.3}
+
+
+class TestCliMalformedFields:
+    # Missing or malformed fields of the input files and options; all but
+    # the empty operator once ended in a raw KeyError or ValueError
+    # traceback.
+    CASES = {
+        "epsilons-not-numbers": (
+            ["moduli-curve", "--space", "{a}", "--epsilons", "0.1,abc"],
+            {"a": EuclideanSpace(2).to_json()}),
+        "direct-sum-no-space": (
+            ["ahsp-direct-sum", "--instance", "{a}"],
+            {"a": without(plane_sum_instance(0.5), "space")}),
+        "direct-sum-no-epsilon": (
+            ["ahsp-direct-sum", "--instance", "{a}"],
+            {"a": without(plane_sum_instance(0.5), "epsilon")}),
+        "lattice-sum-no-space": (
+            ["ahsp-lattice-sum", "--instance", "{a}"],
+            {"a": without(lattice_sum_instance(), "space")}),
+        "lattice-sum-no-epsilon": (
+            ["ahsp-lattice-sum", "--instance", "{a}"],
+            {"a": without(lattice_sum_instance(), "epsilon")}),
+        "verify-witness-no-indices": (
+            ["verify", "--witness", "{a}", "--instance", "{b}"],
+            {"a": witness_without_indices(),
+             "b": {"weights": [1.0], "points": [[1.0, 0.0]]}}),
+        "restrict-witness-no-indices": (
+            ["ahsp-restrict", "--witness", "{a}", "--component", "0"],
+            {"a": witness_without_indices()}),
+        "correct-l1sum-empty-operator": (
+            ["correct-l1sum", "--instance", "{a}"],
+            {"a": {"operator": {}, "epsilon": 0.3}}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_config_error_in_one_line(self, tmp_path, capsys, case):
+        template, files = self.CASES[case]
+        paths = {name: write_json(tmp_path / f"{name}.json", payload)
+                 for name, payload in files.items()}
+        argv = [arg.format(**paths) for arg in template]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
