@@ -494,17 +494,21 @@ def lemma_fact_delta(n: AbsoluteNorm2, epsilon: float, resolution: int = 10000) 
     within the threshold therefore admit a completion ``(t, 1)`` on the
     sphere with ``|t - a| <= epsilon``.  The exact value,
     ``1 - sup_height(t_max + epsilon)``, is certified on a ``resolution``
-    point sweep of the sphere.
+    point sweep of the sphere.  The sweep takes the sphere points
+    ``(1 - u, u) / f(1 - u, u)`` of ``resolution`` evenly spaced ``u`` in
+    one :meth:`AbsoluteNorm2.values` call, and lowers ``delta`` to the
+    smallest ``max(1 - b, 1e-12)`` over the points with ``b > 1 - delta``
+    and ``a > t_max + epsilon + 1e-9``.  That is the value a point-by-point
+    sweep reaches: a point it would skip has ``1 - b`` at or above the
+    running ``delta``, so it cannot lower the minimum.
     """
     if epsilon <= 0.0:
         raise RangeError(f"epsilon must be positive, got {epsilon}")
     cap = 1.0 - 1e-9
     cut = n._t_max + epsilon
     delta = min(1.0 - n.sup_height(cut), cap)
-    # Certify on a sweep of sphere directions: every sampled unit pair with
-    # b > 1 - delta must satisfy a <= t_max + epsilon.
-    for u in np.linspace(0.0, 1.0, resolution):
-        a, b = n.sphere_point(float(u))
-        if b > 1.0 - delta and a > cut + 1e-9:
-            delta = min(delta, max(1.0 - b, 1e-12))
-    return delta
+    u = np.linspace(0.0, 1.0, resolution)
+    rows = np.column_stack([1.0 - u, u])
+    a, b = (rows / n.values(rows)[:, None]).T
+    bad = (b > 1.0 - delta) & (a > cut + 1e-9)
+    return float(np.maximum(1.0 - b[bad], 1e-12).min(initial=delta))

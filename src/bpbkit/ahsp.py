@@ -130,28 +130,36 @@ def verify_ahsp_witness(series: ConvexSeries,
 
 def _project_segment(gen: AbsoluteNorm2, p: np.ndarray, va: np.ndarray,
                      vb: np.ndarray) -> np.ndarray:
-    """Nearest point (in the generator norm) to ``p`` on [va, vb]."""
+    """Nearest point (in the polyhedral generator norm) to ``p`` on [va, vb].
+
+    The residual ``p - (va + lam (vb - va))`` moves along a line, and the
+    norm is linear on each cone between the rays through the sphere
+    vertices ``(+-vx, vy)`` (the vertices include the axis points), so the
+    cost is convex and piecewise linear in ``lam`` with its kinks where the
+    residual crosses those rays.  The cost is evaluated at ``lam`` = 0, 1
+    and every crossing in (0, 1) in one :meth:`AbsoluteNorm2.values` call.
+    Tie rule: among candidates of equal computed cost the smallest ``lam``
+    (the one nearest ``va``) wins.  An endpoint is returned as ``va`` or
+    ``vb`` itself; an interior point as ``p`` minus its residual, so a
+    residual of exactly zero gives ``p`` itself.  (``p`` minus the residual
+    at ``lam`` = 0 or 1 can miss a short segment's endpoint by rounding.)
+    """
     d = vb - va
-
-    def cost(lam: float) -> float:
-        return gen.value(p - (va + lam * d))
-
-    lo, hi = 0.0, 1.0
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    dd = lo + inv_phi * (hi - lo)
-    fc, fd = cost(c), cost(dd)
-    for _ in range(100):
-        if fc < fd:
-            hi, dd, fd = dd, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = cost(c)
-        else:
-            lo, c, fc = c, dd, fd
-            dd = lo + inv_phi * (hi - lo)
-            fd = cost(dd)
-    lam = 0.5 * (lo + hi)
-    return va + lam * d
+    q = p - va
+    v = np.array(gen.vertices)
+    rays = np.vstack([v, v * [-1.0, 1.0]])
+    num = q[0] * rays[:, 1] - q[1] * rays[:, 0]
+    den = d[0] * rays[:, 1] - d[1] * rays[:, 0]
+    cross = num[den != 0.0] / den[den != 0.0]
+    lams = np.unique(np.concatenate([[0.0, 1.0],
+                                     cross[(cross > 0.0) & (cross < 1.0)]]))
+    residuals = q - lams[:, None] * d
+    k = int(np.argmin(gen.values(residuals)))
+    if lams[k] == 0.0:
+        return va.copy()
+    if lams[k] == 1.0:
+        return vb.copy()
+    return p - residuals[k]
 
 
 def _polyhedral_face_point(plane: PlaneSpace, functional, x) -> np.ndarray:

@@ -393,6 +393,7 @@ def generate_duality_instance(params: dict,
     m = _number(params.get("num_components", 3), "num_components", int)
     _require(m >= 1, "a lattice sum needs at least one component")
     max_dim = _number(params.get("max_dim", 4), "max_dim", int)
+    _require(max_dim >= 1, f"param 'max_dim' must be at least 1, got {max_dim}")
     dims = [int(rng.integers(1, max_dim + 1)) for _ in range(m)]
     E = LpLattice(m, p)
     Z = lattice_sum_space(E, [EuclideanSpace(d) for d in dims])
@@ -480,12 +481,13 @@ def _run_ahsp_lattice_sum_trial(params, rng, index, shared) -> list[Certificate]
 
 
 def _run_duality_trial(params, rng, index, shared) -> list[Certificate]:
+    seed = _number(params.get("sample_seed", 0), "sample_seed", int)
+    _require(seed >= 0, f"param 'sample_seed' must be nonnegative, got {seed}")
+    samples = _number(params.get("samples", 50), "samples", int)
+    _require(samples >= 1, f"param 'samples' must be at least 1, got {samples}")
     inst = generate_duality_instance(params, rng)
     return duality_isometry_check(inst["space"], inst["functional"],
-                                  seed=_number(params.get("sample_seed", 0),
-                                               "sample_seed", int),
-                                  samples=_number(params.get("samples", 50),
-                                                  "samples", int))
+                                  seed=seed, samples=samples)
 
 
 def _run_moduli_trial(params, rng, index, shared) -> list[Certificate]:

@@ -55,14 +55,33 @@ def kothe_dual_norm(E: FiniteLattice, x) -> float:
     return E.dual_norm_of(arr)
 
 
+#: Rows per draw of the sampled sweeps, so their memory does not grow with
+#: the sample count.
+SAMPLE_BLOCK = 4096
+
+
+def _sample_blocks(rng: np.random.Generator, samples: int, dim: int):
+    """``samples`` standard normal rows of length ``dim``, drawn in blocks of
+    at most :data:`SAMPLE_BLOCK` rows; in row order they are the numbers
+    ``samples`` successive ``rng.standard_normal(dim)`` calls return."""
+    if samples < 1:
+        raise RangeError(f"samples must be at least 1, got {samples}")
+    for start in range(0, samples, SAMPLE_BLOCK):
+        yield rng.standard_normal((min(SAMPLE_BLOCK, samples - start), dim))
+
+
 def sampled_dual_norm(E: FiniteLattice, x, rng: np.random.Generator,
                       samples: int = 2000) -> float:
     """Brute-force lower estimate of the Köthe dual norm over sampled B_E."""
     arr = np.abs(np.asarray(x, dtype=float).reshape(-1))
-    y = np.abs(rng.standard_normal((samples, E.dim)))
-    ny = E.norms(y)
-    keep = ny != 0.0
-    return float(((y[keep] / ny[keep, None]) @ arr).max(initial=0.0))
+    best = 0.0
+    for block in _sample_blocks(rng, samples, E.dim):
+        y = np.abs(block)
+        ny = E.norms(y)
+        keep = ny != 0.0
+        best = max(best, float(((y[keep] / ny[keep, None]) @ arr)
+                               .max(initial=0.0)))
+    return best
 
 
 def duality_isometry_check(Z: DirectSumSpace, x_star,
@@ -73,6 +92,13 @@ def duality_isometry_check(Z: DirectSumSpace, x_star,
     checked against (a) the value achieved at the constructively assembled
     attaining vector and (b) a sampled-and-block-aligned sweep of ball
     points, which can only fall below the dual norm if the isometry holds.
+
+    The sweep draws ``samples`` (at least 1, else :class:`RangeError`)
+    standard normal points in blocks of :data:`SAMPLE_BLOCK` rows; in row
+    order they are the numbers per-sample draws from the same Generator
+    give.  Each point is normalised, and its blocks are also replaced by
+    their norms times the component attaining vectors of the fixed
+    functional, so the sweep is a few array operations per block.
     """
     f = Z.coerce(x_star)
     lhs = Z.dual_norm(f)
@@ -81,22 +107,22 @@ def duality_isometry_check(Z: DirectSumSpace, x_star,
     att = Z.attaining_vector(f)
     achieved = float(np.real(Z.pairing(f, att)))
     rng = np.random.default_rng(np.random.SeedSequence([987651, seed]))
+    spans = list(zip(Z.components, Z.offsets[:-1], Z.offsets[1:]))
+    # the functional is fixed, so each block's attaining vector is too
+    attainers = [comp.attaining_vector(fb) if comp.dual_norm(fb) > 0.0
+                 else None for comp, fb in zip(Z.components, Z.split(f))]
     best = 0.0
-    for _ in range(samples):
-        raw = rng.standard_normal(Z.dim)
-        x = raw / Z.norm(raw)
-        best = max(best, abs(float(np.real(Z.pairing(f, x)))))
-        aligned = []
-        for comp, b, fb in zip(Z.components, Z.split(x), Z.split(f)):
-            bn = comp.norm(b)
-            if bn > 0.0 and comp.dual_norm(fb) > 0.0:
-                aligned.append(bn * comp.attaining_vector(fb))
-            else:
-                aligned.append(b)
-        xa = Z.embed(aligned)
-        na = Z.norm(xa)
-        if na > 0.0:
-            best = max(best, abs(float(np.real(Z.pairing(f, xa)))) / na)
+    for raw in _sample_blocks(rng, samples, Z.dim):
+        X = raw / Z.norms(raw)[:, None]
+        best = max(best, float(np.abs(X @ f).max()))
+        aligned = X.copy()
+        for (comp, lo, hi), a_k in zip(spans, attainers):
+            if a_k is not None:
+                aligned[:, lo:hi] = comp.norms(X[:, lo:hi])[:, None] * a_k
+        na = Z.norms(aligned)
+        keep = na > 0.0
+        best = max(best, float((np.abs(aligned[keep] @ f) / na[keep])
+                               .max(initial=0.0)))
     return [
         check("duality-attainer-unit", abs(Z.norm(att) - 1.0), "<=", 0.0,
               tol=TOL_SPHERE),

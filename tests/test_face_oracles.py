@@ -103,9 +103,17 @@ class TestFlatFaceAcrossAnAxis:
                                                np.array([0.0, 1.0]), 0.1)
         assert kept == (0, 1)
         np.testing.assert_array_equal(out, [0.0, 1.0])
-        # the golden-section search lands within rounding of 0.3
+        # within rounding of 0.3 (exactly 0.3 since the breakpoint search;
+        # see test_linf_interior_point_is_exact)
         np.testing.assert_allclose(faces[0], points[0], rtol=0.0, atol=1e-15)
         np.testing.assert_array_equal(faces[1], points[1])
+
+    def test_linf_interior_point_is_exact(self):
+        # the point already on the face is the residual's zero crossing, so
+        # the segment search returns it exactly
+        plane = PlaneSpace(AbsoluteNorm2.lp(math.inf))
+        z = ahsp._face_point(plane, np.array([0.0, 1.0]), np.array([0.3, 1.0]))
+        np.testing.assert_array_equal(z, [0.3, 1.0])
 
     @settings(max_examples=100, deadline=None)
     @given(lines=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -150,6 +158,64 @@ def polyhedral_generator(lines) -> AbsoluteNorm2:
             nodes.append((u, psi(u)))
     nodes[-1] = (1.0, psi(1.0))
     return AbsoluteNorm2.from_table(nodes)
+
+
+def _golden_section_segment(gen, p, va, vb):
+    """The 100-step golden-section search the breakpoint search replaced."""
+    d = vb - va
+
+    def cost(lam):
+        return gen.value(p - (va + lam * d))
+
+    lo, hi = 0.0, 1.0
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - inv_phi * (hi - lo)
+    dd = lo + inv_phi * (hi - lo)
+    fc, fd = cost(c), cost(dd)
+    for _ in range(100):
+        if fc < fd:
+            hi, dd, fd = dd, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = cost(c)
+        else:
+            lo, c, fc = c, dd, fd
+            dd = lo + inv_phi * (hi - lo)
+            fd = cost(dd)
+    return va + 0.5 * (lo + hi) * d
+
+
+class TestProjectSegment:
+    # The cost along a segment is convex and piecewise linear on polyhedral
+    # planes, so its least breakpoint value is the minimum: never above the
+    # golden-section result by more than rounding.
+    GENERATORS = {"l1": AbsoluteNorm2.lp(1.0),
+                  "linf": AbsoluteNorm2.lp(math.inf), "table": TABLE,
+                  "skew": AbsoluteNorm2.from_table([(0.0, 1.0), (0.3, 0.8),
+                                                    (1.0, 1.0)])}
+    POINT = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(GENERATORS)), p=POINT, va=POINT,
+           vb=POINT)
+    def test_no_farther_than_golden_section(self, name, p, va, vb):
+        gen = self.GENERATORS[name]
+        p, va, vb = np.array(p), np.array(va), np.array(vb)
+        z = ahsp._project_segment(gen, p, va, vb)
+        golden = gen.value(p - _golden_section_segment(gen, p, va, vb))
+        eps = np.finfo(float).eps
+        assert gen.value(p - z) <= golden + 8.0 * eps * max(1.0, golden)
+        # z lies on the segment
+        d = vb - va
+        length2 = float(np.dot(d, d))
+        lam = float(np.dot(z - va, d)) / length2 if length2 > 1e-24 else 0.0
+        assert -1e-12 <= lam <= 1.0 + 1e-12
+        np.testing.assert_allclose(z, va + lam * d, rtol=0.0, atol=1e-12)
+
+    def test_flat_stretch_takes_the_point_nearest_va(self):
+        # on l1 every point of [(1, 0), (0, 1)] is 1 from the origin
+        z = ahsp._project_segment(AbsoluteNorm2.lp(1.0), np.zeros(2),
+                                  np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(z, [1.0, 0.0])
 
 
 class TestSupHeight:

@@ -1,4 +1,5 @@
-"""Scenario params that do not convert to numbers are config errors."""
+"""Scenario params that do not convert to numbers, or whose numbers are out
+of range, are config errors."""
 from __future__ import annotations
 
 import json
@@ -28,6 +29,11 @@ BAD_SCENARIOS = [
     ({"kind": "ahsp_direct_sum", "params": {"f": {"kind": "lp", "p": "x"}}},
      "f"),
     ({"kind": "ahsp_direct_sum", "params": {"f": {"kind": "table"}}}, "f"),
+    # numbers outside their range
+    ({"kind": "duality_check", "params": {"samples": -1, "trials": 1}},
+     "samples"),
+    ({"kind": "duality_check", "params": {"max_dim": 0}}, "max_dim"),
+    ({"kind": "duality_check", "params": {"sample_seed": -3}}, "sample_seed"),
 ]
 
 

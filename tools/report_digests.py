@@ -64,6 +64,8 @@ GRID = [
                       "modulus": "monotonicity", "count": 12}),
     ("duality_check", {"trials": 3, "p": 1.0}),
     ("duality_check", {"trials": 3, "p": 3.0, "samples": 20}),
+    # more samples than one block of lattice_sums.SAMPLE_BLOCK (4096)
+    ("duality_check", {"trials": 2, "p": 2.0, "samples": 5000}),
 ]
 
 
