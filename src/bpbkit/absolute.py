@@ -86,6 +86,8 @@ class AbsoluteNorm2:
         else:
             raise RangeError(f"unknown generator kind {kind!r}")
         self._precompute()
+        # boundary_completion's bisection result per axis
+        self._completion: dict[str, float] = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -448,27 +450,37 @@ def boundary_completion(n: AbsoluteNorm2, r: float, s: float, which: str) -> flo
     is pushed to one and the result is the largest ``t >= 0`` with
     ``n(t, 1) = 1``, carrying the sign of ``r``; for ``which="first_coord"``
     the roles are exchanged and the result carries the sign of ``s``.  The
-    value is located by bisection to 1e-12.
+    value is located by bisection to 1e-12.  It depends only on the
+    generator and the axis, so the bisection runs once per pair and its
+    result is kept on the generator; the sphere check runs on every call.
     """
     if which not in ("second_coord", "first_coord"):
         raise RangeError(f"which must be 'second_coord' or 'first_coord', got {which!r}")
     val = n.value((r, s))
     if abs(val - 1.0) > TOL_SPHERE:
         raise NotOnSphere(f"|({r}, {s})| = {val} is not 1 within {TOL_SPHERE}")
-    m = n if which == "second_coord" else n.swapped()
+    t = n._completion.get(which)
+    if t is None:
+        m = n if which == "second_coord" else n.swapped()
+        t = _completion_bisection(m)
+        n._completion[which] = t
     sign_src = r if which == "second_coord" else s
-    if m.value((1.0, 1.0)) <= 1.0 + 1e-13:
-        t = 1.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if m.value((mid, 1.0)) <= 1.0 + 1e-13:
-                lo = mid
-            else:
-                hi = mid
-        t = lo
     return math.copysign(t, sign_src) if sign_src != 0.0 else t
+
+
+def _completion_bisection(m: AbsoluteNorm2) -> float:
+    """The largest ``t`` in [0, 1] with ``m(t, 1) <= 1 + 1e-13``, by a
+    60-step bisection."""
+    if m.value((1.0, 1.0)) <= 1.0 + 1e-13:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if m.value((mid, 1.0)) <= 1.0 + 1e-13:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def dual_pair(n: AbsoluteNorm2, point) -> np.ndarray:

@@ -16,6 +16,12 @@ unit functional, and unit points z_k in that functional's face with
   components of the norming functional, every promised inequality being
   re-checked numerically;
 * the restriction of a sum-level witness to one summand at doubled eps.
+
+Every stage runs on row arrays: the series points are coerced once into an
+``(n, dim)`` array, profiles come from one ``DirectSumSpace.profiles``
+call, lifted and witness points are built by column-slice arithmetic, and
+each distance, pairing or norm bound over the points is one ``norms`` call
+or one matrix product.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from .absolute import AbsoluteNorm2, boundary_completion, lemma_fact_delta
 from .bpb import HYPOTHESIS_SLACK, ConvexSeries, filter_large_real_part
 from .certs import Certificate, check, ensure
-from .errors import (HypothesisError, InternalInvariantError,
+from .errors import (DimensionError, HypothesisError, InternalInvariantError,
                      NotUniformlyConvex, OracleViolation, RangeError,
                      WitnessSearchFailed)
 from .lattices import Absolute2Lattice
@@ -94,33 +100,44 @@ def witness_from_json(data: dict) -> AhspWitness:
     )
 
 
+def _point_rows(space: NormedSpace, points) -> np.ndarray:
+    """A sequence of points (or an ``(n, dim)`` array) as one coerced
+    ``(n, dim)`` array, a fresh copy; no points give shape ``(0, dim)``."""
+    try:
+        arr = np.asarray(points).reshape(len(points), space.dim)
+    except ValueError as exc:
+        raise DimensionError(
+            f"expected {len(points)} points of length {space.dim}") from exc
+    return space.coerce_rows(arr)
+
+
 def verify_ahsp_witness(series: ConvexSeries,
                         witness: AhspWitness) -> list[Certificate]:
     """Recompute the three witness conditions with fresh evaluations.
 
     Never raises: returns certificates for the heavy mass (> 1 - eps), the
     point distances (< eps), unit points, face values, and the unit
-    functional.
+    functional.  The points are coerced once as rows; one ``norms`` call
+    gives their norms, one their distances to the series points, and one
+    product their face values.  With no points the deviations are zero.
     """
     space, eps = witness.space, witness.epsilon
     w = series.weights
     mass = float(sum(w[k] for k in witness.indices))
-    unit_dev = 0.0
-    face_dev = 0.0
-    dist_max = 0.0
-    for k, z in zip(witness.indices, witness.points):
-        zv = space.coerce(z)
-        unit_dev = max(unit_dev, abs(space.norm(zv) - 1.0))
-        face_dev = max(face_dev,
-                       abs(np.real(space.pairing(witness.functional, zv)) - 1.0))
-        dist_max = max(dist_max, space.norm(zv - space.coerce(series.payload[k])))
+    n = min(len(witness.indices), len(witness.points))
+    f = space.coerce(witness.functional)
+    Z = _point_rows(space, witness.points[:n])
+    X = _point_rows(space, series.payload[list(witness.indices[:n])])
+    unit_dev = float(np.abs(space.norms(Z) - 1.0).max(initial=0.0))
+    face_dev = float(np.abs(np.real(Z @ f) - 1.0).max(initial=0.0))
+    dist_max = float(space.norms(Z - X).max(initial=0.0))
     return [
         check("witness-mass", mass, ">", 1.0 - eps),
         check("witness-distance", dist_max, "<", eps),
         check("witness-point-unit", unit_dev, "<=", 0.0, tol=TOL_SPHERE),
         check("witness-face-value", face_dev, "<=", 0.0, tol=TOL_SPHERE),
         check("witness-functional-unit",
-              abs(space.dual_norm(witness.functional) - 1.0), "<=", 0.0,
+              abs(space.dual_norm(f) - 1.0), "<=", 0.0,
               tol=TOL_SPHERE),
     ]
 
@@ -225,6 +242,18 @@ def _face_point(space: NormedSpace, functional, x) -> np.ndarray:
     return _optimized_face_point(space, functional, x)
 
 
+def _face_points(space: NormedSpace, functional,
+                 rows: np.ndarray) -> np.ndarray:
+    """:func:`_face_point` of every row of a coerced ``(n, dim)`` array, as
+    a fresh ``(n, dim)`` array.  On rotund kinds the face is one point, so
+    it is computed once."""
+    if _rotund(space):
+        z = space.attaining_vector(functional)
+        return np.repeat(z[None, :], len(rows), axis=0)
+    return np.array([_face_point(space, functional, x) for x in rows],
+                    dtype=space.dtype).reshape(len(rows), space.dim)
+
+
 def _optimized_face_point(space: NormedSpace, x_star, x) -> np.ndarray:
     """Constrained-minimization face projection for kinds without a closed
     form (real spaces): minimize the distance subject to value one and
@@ -261,18 +290,18 @@ def finite_dim_witness(space: NormedSpace, series: ConvexSeries,
     if not 0.0 < eta < epsilon:
         raise RangeError(
             f"eta must lie in (0, epsilon) for the mass policy, got {eta}")
-    pts = [space.coerce(p) for p in series.payload]
-    norms = [space.norm(p) for p in pts]
-    if max(norms) > 1.0 + TOL_SPHERE:
+    pts = _point_rows(space, series.payload)
+    top = float(space.norms(pts).max(initial=0.0))
+    if top > 1.0 + TOL_SPHERE:
         raise RangeError(
-            f"series points must lie in the unit ball (max norm {max(norms)})")
+            f"series points must lie in the unit ball (max norm {top})")
     total = sum(w * p for w, p in zip(series.weights, pts))
     total_norm = space.norm(total)
     if not total_norm > 1.0 - eta - slack - HYPOTHESIS_SLACK:
         raise HypothesisError(
             f"|sum a_k x_k| = {total_norm} is not above 1 - eta = {1.0 - eta}")
     x_star = space.norming_functional(total)
-    values = np.array([float(np.real(space.pairing(x_star, p))) for p in pts])
+    values = np.real(pts @ x_star)
     r = 1.0 - eta / epsilon
     picked = filter_large_real_part(
         ConvexSeries(series.weights, values, strict=series.strict),
@@ -283,7 +312,7 @@ def finite_dim_witness(space: NormedSpace, series: ConvexSeries,
             f"no series point exceeded the face threshold {r}",
             residuals={"max-value": float(values.max())})
 
-    zs = tuple(space.coerce(_face_point(space, x_star, pts[k])) for k in A)
+    zs = tuple(_face_points(space, x_star, pts[list(A)]))
     report = verify_ahsp_witness(series, AhspWitness(space, A, zs, x_star,
                                                      epsilon))
     if not all(c.passed for c in report):
@@ -355,26 +384,38 @@ class _FaceOracle(AhspOracle):
         return finite_dim_witness(self.space, series, epsilon,
                                   self.eta(epsilon), slack=slack)
 
+    def face_points(self, y_star: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """:meth:`face_point` of every row of a coerced ``(n, dim)`` array."""
+        return _face_points(self.space, y_star, rows)
+
     def witness_ball(self, weights, points, functional, epsilon):
+        """Every point projected onto the face of ``functional``: the
+        pairings come from one product, the distances from one ``norms``
+        call.  The first point (in order) whose pairing is not above
+        ``1 - eta_ball`` raises :class:`HypothesisError`, and the first
+        whose face distance is not below ``epsilon`` raises
+        :class:`OracleViolation`; points past the first pairing failure
+        are not projected."""
         space = self.space
         w_star = space.coerce(functional)
         if abs(space.dual_norm(w_star) - 1.0) > TOL_SPHERE:
             raise RangeError("witness_ball requires a unit functional")
         bar = 1.0 - self.eta_ball(epsilon)
-        out = []
-        for j, p in enumerate(points):
-            pv = space.coerce(p)
-            val = float(np.real(space.pairing(w_star, pv)))
-            if not val > bar - 1e-12:
-                raise HypothesisError(
-                    f"point {j}: Re w*(p) = {val} is not above {bar}")
-            z = self.face_point(w_star, pv)
-            d = space.norm(pv - z)
-            if not d < epsilon + 1e-12:
-                raise OracleViolation(
-                    f"point {j}: face distance {d} is not below {epsilon}")
-            out.append(z)
-        return tuple(range(len(points))), out, w_star
+        P = _point_rows(space, points)
+        vals = np.real(P @ w_star)
+        low = np.flatnonzero(~(vals > bar - 1e-12))
+        n = int(low[0]) if low.size else len(P)
+        Z = self.face_points(w_star, P[:n])
+        d = space.norms(P[:n] - Z)
+        far = np.flatnonzero(~(d < epsilon + 1e-12))
+        if far.size:
+            j = int(far[0])
+            raise OracleViolation(f"point {j}: face distance {float(d[j])} "
+                                  f"is not below {epsilon}")
+        if n < len(P):
+            raise HypothesisError(
+                f"point {n}: Re w*(p) = {float(vals[n])} is not above {bar}")
+        return tuple(range(len(P))), list(Z), w_star
 
 
 class UniformlyConvexAhspOracle(_FaceOracle):
@@ -523,7 +564,7 @@ def direct_sum_witness(M: NormedSpace, N: NormedSpace, f: AbsoluteNorm2,
     plane = PlaneSpace(f)
     certs: list[Certificate] = []
 
-    pts = [X.coerce(p) for p in series.payload]
+    pts = _point_rows(X, series.payload)
     total = sum(w * p for w, p in zip(series.weights, pts))
     total_norm = X.norm(total)
     certs.append(check("series-hypothesis", total_norm, ">=", 1.0 - pol.eta0,
@@ -533,42 +574,35 @@ def direct_sum_witness(M: NormedSpace, N: NormedSpace, f: AbsoluteNorm2,
             f"|sum a_k x_k| = {total_norm} is not above 1 - eta0 = "
             f"{1.0 - pol.eta0} (slack {DIRECT_SUM_SLACK})")
 
-    profiles = np.array([X.profile(p) for p in pts])
+    profiles = X.profiles(pts)
     w2 = finite_dim_witness(plane, ConvexSeries(series.weights, profiles),
                             pol.epsilon0, pol.eta0, slack=DIRECT_SUM_SLACK)
     A = w2.indices
-    rs = {k: w2.points[j] for j, k in enumerate(A)}
     al, be = (float(v) for v in plane.coerce(w2.functional))
-
-    m0 = M.canonical_unit()
-    n0 = N.canonical_unit()
-    m_hat: dict[int, np.ndarray] = {}
-    n_hat: dict[int, np.ndarray] = {}
-    y: dict[int, np.ndarray] = {}
-    coord_err_1 = coord_err_2 = lift_err = 0.0
-    for k in A:
-        Pk, Qk = X.split(pts[k])
-        a_k, b_k = M.norm(Pk), N.norm(Qk)
-        m_hat[k] = Pk / a_k if a_k > 0.0 else m0
-        n_hat[k] = Qk / b_k if b_k > 0.0 else n0
-        r_k, s_k = float(rs[k][0]), float(rs[k][1])
-        y[k] = X.embed([r_k * m_hat[k], s_k * n_hat[k]])
-        coord_err_1 = max(coord_err_1, abs(r_k - a_k))
-        coord_err_2 = max(coord_err_2, abs(s_k - b_k))
-        lift_err = max(lift_err, X.norm(y[k] - pts[k]))
+    # one row per index of A: series points, their profiles, the witnessed
+    # profiles (R), unit block directions and lifted points (Y)
+    rows_A = pts[list(A)]
+    prof_A = profiles[list(A)]
+    R = np.array(w2.points)
+    m_hat = _directions(rows_A[:, :M.dim], prof_A[:, 0], M.canonical_unit())
+    n_hat = _directions(rows_A[:, M.dim:], prof_A[:, 1], N.canonical_unit())
+    Y = np.hstack([R[:, :1] * m_hat, R[:, 1:] * n_hat])
+    coord_err_1 = float(np.abs(R[:, 0] - prof_A[:, 0]).max(initial=0.0))
+    coord_err_2 = float(np.abs(R[:, 1] - prof_A[:, 1]).max(initial=0.0))
+    lift_err = float(X.norms(Y - rows_A).max(initial=0.0))
     certs.append(check("profile-error-first", coord_err_1, "<", pol.epsilon0))
     certs.append(check("profile-error-second", coord_err_2, "<", pol.epsilon0))
     certs.append(check("lifted-point-distance", lift_err, "<=", pol.epsilon0,
                        tol=1e-12))
 
-    lifted_sum = sum(series.weights[k] * y[k] for k in A)
+    lifted_sum = sum(series.weights[k] * y for k, y in zip(A, Y))
     lifted_norm = X.norm(lifted_sum)
     certs.append(check("lifted-mass-norm", lifted_norm, ">",
                        1.0 - 4.0 * pol.epsilon0))
     x_star = X.norming_functional(lifted_sum)
 
-    B = [k for k in A
-         if float(np.real(X.pairing(x_star, y[k]))) > 1.0 - pol.r]
+    heavy = np.flatnonzero(np.real(Y @ x_star) > 1.0 - pol.r)
+    B = [A[j] for j in heavy]
     mass_B = float(sum(series.weights[k] for k in B))
     certs.append(check("heavy-mass", mass_B, ">",
                        1.0 - 4.0 * pol.epsilon0 / pol.r))
@@ -576,14 +610,14 @@ def direct_sum_witness(M: NormedSpace, N: NormedSpace, f: AbsoluteNorm2,
         ensure(certs)
         raise InternalInvariantError("the heavy set is empty")
 
+    # from here on rows follow B
+    R, m_hat, n_hat = R[heavy], m_hat[heavy], n_hat[heavy]
     m_star, n_star = X.split(x_star)
     mu, nu = M.dual_norm(m_star), N.dual_norm(n_star)
-    split_gap_1 = max((mu * float(rs[k][0])
-                       - float(np.real(M.pairing(m_star, float(rs[k][0]) * m_hat[k]))))
-                      for k in B)
-    split_gap_2 = max((nu * float(rs[k][1])
-                       - float(np.real(N.pairing(n_star, float(rs[k][1]) * n_hat[k]))))
-                      for k in B)
+    split_gap_1 = float(np.max(mu * R[:, 0]
+                               - np.real((R[:, :1] * m_hat) @ m_star)))
+    split_gap_2 = float(np.max(nu * R[:, 1]
+                               - np.real((R[:, 1:] * n_hat) @ n_star)))
     certs.append(check("support-split-first", split_gap_1, "<=", pol.r,
                        tol=1e-12))
     certs.append(check("support-split-second", split_gap_2, "<=", pol.r,
@@ -592,20 +626,21 @@ def direct_sum_witness(M: NormedSpace, N: NormedSpace, f: AbsoluteNorm2,
     weights_B = [float(series.weights[k]) for k in B]
 
     if mu <= pol.s:
-        indices, points, functional = _tiny_side_branch(
-            X, M, N, f, pol, certs, series, B, weights_B, rs, m_hat, n_hat,
-            n_star, nu, oracle_N, first_tiny=True)
+        indices, Z, functional, dists = _tiny_side_branch(
+            X, M, N, f, pol, certs, series, pts, B, weights_B, R, m_hat,
+            n_hat, n_star, nu, oracle_N, first_tiny=True)
     elif nu <= pol.s:
-        indices, points, functional = _tiny_side_branch(
-            X, M, N, f, pol, certs, series, B, weights_B, rs, m_hat, n_hat,
-            m_star, mu, oracle_M, first_tiny=False)
+        indices, Z, functional, dists = _tiny_side_branch(
+            X, M, N, f, pol, certs, series, pts, B, weights_B, R, m_hat,
+            n_hat, m_star, mu, oracle_M, first_tiny=False)
     else:
-        indices, points, functional = _both_sides_branch(
-            X, M, N, pol, certs, series, B, rs, m_hat, n_hat,
+        indices, Z, functional, dists = _both_sides_branch(
+            X, M, N, pol, certs, series, pts, B, R, m_hat, n_hat,
             m_star, mu, n_star, nu, oracle_M, oracle_N, al, be)
 
-    dist_max = max(X.norm(points[j] - pts[k]) for j, k in enumerate(indices))
-    certs.append(check("witness-distance-final", dist_max, "<", epsilon))
+    certs.append(check("witness-distance-final",
+                       float(dists.max(initial=0.0)), "<", epsilon))
+    points = tuple(Z)
     witness = AhspWitness(X, indices, points, functional, epsilon)
     final = verify_ahsp_witness(series, witness)
     certs.extend(final)
@@ -613,55 +648,63 @@ def direct_sum_witness(M: NormedSpace, N: NormedSpace, f: AbsoluteNorm2,
     return AhspWitness(X, indices, points, functional, epsilon, tuple(certs))
 
 
-def _tiny_side_branch(X, M, N, f, pol, certs, series, B, weights_B, rs,
+def _directions(blocks: np.ndarray, norms: np.ndarray,
+                fallback: np.ndarray) -> np.ndarray:
+    """Each row of ``blocks`` divided by its norm (from ``norms``); a row
+    of norm zero becomes ``fallback``."""
+    nonzero = norms > 0.0
+    safe = np.where(nonzero, norms, 1.0)
+    return np.where(nonzero[:, None], blocks / safe[:, None], fallback)
+
+
+def _tiny_side_branch(X, M, N, f, pol, certs, series, pts, B, weights_B, R,
                       m_hat, n_hat, active_star, active_norm, active_oracle,
                       first_tiny: bool):
     """One dual component is tiny: the witness lives (up to a completion
     coefficient) on the other summand.  ``first_tiny`` means the first
-    summand's dual component is the tiny one, so the second is active."""
+    summand's dual component is the tiny one, so the second is active.
+    ``R``, ``m_hat`` and ``n_hat`` hold one row per index of ``B``; returns
+    the kept indices, their points as rows, the functional, and the
+    points' distances to the series points."""
     side = "second" if first_tiny else "first"
     active_space = N if first_tiny else M
     passive_hat = m_hat if first_tiny else n_hat
     active_hat = n_hat if first_tiny else m_hat
-    prof_active = (lambda k: float(rs[k][1])) if first_tiny \
-        else (lambda k: float(rs[k][0]))
-    prof_passive = (lambda k: float(rs[k][0])) if first_tiny \
-        else (lambda k: float(rs[k][1]))
+    act = 1 if first_tiny else 0
 
-    min_active_prof = min(prof_active(k) for k in B)
+    min_active_prof = float(R[:, act].min())
     certs.append(check(f"{side}-profile-large", min_active_prof, ">=",
                        1.0 - pol.r - pol.s, tol=1e-12))
     a_hat_star = active_space.coerce(active_star) / active_norm
-    active_pts = [prof_active(k) * active_hat[k] for k in B]
-    min_val = min(float(np.real(active_space.pairing(a_hat_star, p)))
-                  for p in active_pts)
+    active_pts = R[:, act, None] * active_hat
+    min_val = float(np.real(active_pts @ a_hat_star).min())
     certs.append(check(f"{side}-component-hypothesis", min_val, ">",
                        1.0 - pol.eta1))
 
     kept, face_pts, out_star = active_oracle.witness_ball(
         weights_B, active_pts, a_hat_star, pol.epsilon1)
+    kept = list(kept)
     C = [B[j] for j in kept]
     mass_C = float(sum(series.weights[k] for k in C))
     certs.append(check("witness-mass-chain", mass_C, ">",
                        1.0 - pol.epsilon1 - 4.0 * pol.epsilon0 / pol.r))
 
     eps = pol.epsilon
+    which = "second_coord" if first_tiny else "first_coord"
     completion_err = 0.0
-    points = []
-    for j, k in zip(kept, C):
-        r_k, s_k = float(rs[k][0]), float(rs[k][1])
-        if first_tiny:
-            t = boundary_completion(f, r_k, s_k, "second_coord")
-            a_k = math.copysign(min(abs(r_k), abs(t)), r_k) if r_k else 0.0
-            completion_err = max(completion_err, abs(a_k - r_k))
-            points.append(X.embed([a_k * passive_hat[k], face_pts[j]]))
-        else:
-            t = boundary_completion(f, r_k, s_k, "first_coord")
-            b_k = math.copysign(min(abs(s_k), abs(t)), s_k) if s_k else 0.0
-            completion_err = max(completion_err, abs(b_k - s_k))
-            points.append(X.embed([face_pts[j], b_k * passive_hat[k]]))
+    coefs = []
+    for j in kept:
+        r_k, s_k = float(R[j, 0]), float(R[j, 1])
+        t = boundary_completion(f, r_k, s_k, which)
+        c_k = r_k if first_tiny else s_k  # the passive coordinate
+        a_k = math.copysign(min(abs(c_k), abs(t)), c_k) if c_k else 0.0
+        completion_err = max(completion_err, abs(a_k - c_k))
+        coefs.append(a_k)
     certs.append(check("completion-error", completion_err, "<=", eps / 5.0,
                        tol=1e-9))
+    passive = np.array(coefs).reshape(-1, 1) * passive_hat[kept]
+    faces = _point_rows(active_space, face_pts)[kept]
+    Z = np.hstack([passive, faces] if first_tiny else [faces, passive])
     if first_tiny:
         functional = np.concatenate([np.zeros(M.dim),
                                      active_space.coerce(out_star)])
@@ -669,35 +712,38 @@ def _tiny_side_branch(X, M, N, f, pol, certs, series, B, weights_B, rs,
         functional = np.concatenate([active_space.coerce(out_star),
                                      np.zeros(N.dim)])
     bound = eps / 5.0 + pol.epsilon1 + 2.0 * pol.epsilon0
-    dmax = max(X.norm(points[j] - X.coerce(series.payload[k]))
-               for j, k in enumerate(C)) if C else 0.0
-    certs.append(check("witness-distance-chain", dmax, "<=", bound, tol=1e-12))
-    return tuple(C), tuple(points), functional
+    dists = X.norms(Z - pts[C])
+    certs.append(check("witness-distance-chain", float(dists.max(initial=0.0)),
+                       "<=", bound, tol=1e-12))
+    return tuple(C), Z, functional, dists
 
 
-def _both_sides_branch(X, M, N, pol, certs, series, B, rs,
+def _both_sides_branch(X, M, N, pol, certs, series, pts, B, R,
                        m_hat, n_hat, m_star, mu, n_star, nu,
                        oracle_M, oracle_N, al, be):
     """Both dual components are substantial: combine component witnesses on
     the indices where each profile coordinate is large, patching the small
-    ones with the other side's canonical attaining vector."""
+    ones with the other side's canonical attaining vector.  Rows of ``R``,
+    ``m_hat`` and ``n_hat`` follow ``B``; returns as
+    :func:`_tiny_side_branch` does."""
     s = pol.s
-    B1 = [k for k in B if float(rs[k][0]) >= s]
-    C1 = [k for k in B if float(rs[k][1]) >= s]
-    missing_1 = sum(1 for k in B if k not in B1 and k not in C1)
-    missing_2 = sum(1 for k in B if k not in C1 and k not in B1)
-    certs.append(check("split-first-covered", float(missing_1), "<=", 0.0))
-    certs.append(check("split-second-covered", float(missing_2), "<=", 0.0))
+    large_1 = R[:, 0] >= s
+    large_2 = R[:, 1] >= s
+    B1 = [k for k, big in zip(B, large_1) if big]
+    C1 = [k for k, big in zip(B, large_2) if big]
+    missing = float(np.sum(~large_1 & ~large_2))
+    certs.append(check("split-first-covered", missing, "<=", 0.0))
+    certs.append(check("split-second-covered", missing, "<=", 0.0))
 
     m_hat_star = M.coerce(m_star) / mu
     n_hat_star = N.coerce(n_star) / nu
     if B1:
-        min_m = min(float(np.real(M.pairing(m_hat_star, m_hat[k]))) for k in B1)
+        min_m = float(np.real(m_hat[large_1] @ m_hat_star).min())
         certs.append(check("first-component-hypothesis", min_m, ">",
                            1.0 - pol.eta1))
         keptM, u_pts, m1_star = oracle_M.witness_ball(
             [float(series.weights[k]) for k in B1],
-            [m_hat[k] for k in B1], m_hat_star, pol.epsilon1)
+            m_hat[large_1], m_hat_star, pol.epsilon1)
         D1 = {B1[j]: u_pts[i] for i, j in enumerate(keptM)}
         u0 = M.attaining_vector(m1_star)
     else:
@@ -705,12 +751,12 @@ def _both_sides_branch(X, M, N, pol, certs, series, B, rs,
         u0 = M.canonical_unit()
         m1_star = M.norming_functional(u0)
     if C1:
-        min_n = min(float(np.real(N.pairing(n_hat_star, n_hat[k]))) for k in C1)
+        min_n = float(np.real(n_hat[large_2] @ n_hat_star).min())
         certs.append(check("second-component-hypothesis", min_n, ">",
                            1.0 - pol.eta1))
         keptN, v_pts, n1_star = oracle_N.witness_ball(
             [float(series.weights[k]) for k in C1],
-            [n_hat[k] for k in C1], n_hat_star, pol.epsilon1)
+            n_hat[large_2], n_hat_star, pol.epsilon1)
         F1 = {C1[j]: v_pts[i] for i, j in enumerate(keptN)}
         v0 = N.attaining_vector(n1_star)
     else:
@@ -731,20 +777,18 @@ def _both_sides_branch(X, M, N, pol, certs, series, B, rs,
     certs.append(check("witness-mass-chain", mass_C, ">",
                        1.0 - 4.0 * pol.epsilon0 / pol.r - 4.0 * pol.epsilon1))
 
-    points = []
-    d_core = d_first = d_second = 0.0
-    for k in C:
-        r_k, s_k = float(rs[k][0]), float(rs[k][1])
-        if k in core:
-            z = X.embed([r_k * D1[k], s_k * F1[k]])
-            d_core = max(d_core, X.norm(z - X.coerce(series.payload[k])))
-        elif k in patch_first:
-            z = X.embed([r_k * u0, s_k * F1[k]])
-            d_first = max(d_first, X.norm(z - X.coerce(series.payload[k])))
-        else:
-            z = X.embed([r_k * D1[k], s_k * v0])
-            d_second = max(d_second, X.norm(z - X.coerce(series.payload[k])))
-        points.append(z)
+    # a core index has both component witnesses; a first patch (small first
+    # profile) has only the second, so its first block is u0; a second patch
+    # has only the first, so its second block is v0
+    row_of = {k: j for j, k in enumerate(B)}
+    R_C = R[[row_of[k] for k in C]]
+    Z = np.hstack([R_C[:, :1] * _point_rows(M, [D1.get(k, u0) for k in C]),
+                   R_C[:, 1:] * _point_rows(N, [F1.get(k, v0) for k in C])])
+    dists = X.norms(Z - pts[C])
+    piece = np.array([0 if k in core else 1 if k in patch_first else 2
+                      for k in C], dtype=int)
+    d_core, d_first, d_second = (float(dists[piece == i].max(initial=0.0))
+                                 for i in range(3))
     e0, e1 = pol.epsilon0, pol.epsilon1
     certs.append(check("witness-distance-core", d_core, "<=",
                        e1 + 2.0 * e0, tol=1e-12))
@@ -755,7 +799,7 @@ def _both_sides_branch(X, M, N, pol, certs, series, B, rs,
 
     functional = np.concatenate([al * M.coerce(m1_star),
                                  be * N.coerce(n1_star)])
-    return tuple(C), tuple(points), functional
+    return tuple(C), Z, functional, dists
 
 
 def restrict_witness(sum_space: DirectSumSpace, witness: AhspWitness,
@@ -781,23 +825,17 @@ def restrict_witness(sum_space: DirectSumSpace, witness: AhspWitness,
             "the functional vanishes on the target summand, which the "
             "projection bounds exclude")
 
-    blocks = []
-    min_inside = math.inf
-    max_outside = 0.0
-    max_support_gap = 0.0
-    for z in witness.points:
-        zb = sum_space.split(sum_space.coerce(z))
-        block = zb[component]
-        bn = comp.norm(block)
-        rest = list(sum_space.profile(sum_space.coerce(z)))
-        rest[component] = 0.0
-        outside = sum_space.combiner.norm_of(np.array(rest))
-        min_inside = min(min_inside, bn)
-        max_outside = max(max_outside, outside)
-        max_support_gap = max(
-            max_support_gap,
-            abs(float(np.real(comp.pairing(m_star, block))) - mu * bn))
-        blocks.append((block, bn))
+    Z = _point_rows(sum_space, witness.points)
+    profiles = sum_space.profiles(Z)
+    lo, hi = sum_space.offsets[component], sum_space.offsets[component + 1]
+    blocks = Z[:, lo:hi]
+    bn = profiles[:, component]
+    rest = profiles.copy()
+    rest[:, component] = 0.0
+    min_inside = float(bn.min(initial=math.inf))
+    max_outside = float(sum_space.combiner.norms(rest).max(initial=0.0))
+    max_support_gap = float(np.abs(np.real(blocks @ m_star) - mu * bn)
+                            .max(initial=0.0))
     certs.append(check("projection-dominant", min_inside, ">=",
                        1.0 - eps_half, tol=1e-12))
     certs.append(check("projection-remainder", max_outside, "<=", eps_half,
@@ -806,14 +844,12 @@ def restrict_witness(sum_space: DirectSumSpace, witness: AhspWitness,
                        tol=1e-9))
     ensure(certs)
 
-    points = []
-    for block, bn in blocks:
-        if bn == 0.0:
-            raise InternalInvariantError(
-                "a witness point has no mass in the target summand")
-        points.append(block / bn)
+    if np.any(bn == 0.0):
+        raise InternalInvariantError(
+            "a witness point has no mass in the target summand")
+    points = blocks / bn[:, None]
     functional = comp.coerce(m_star) / mu
-    shift = max(comp.norm(p - b[0]) for p, b in zip(points, blocks))
+    shift = float(comp.norms(points - blocks).max(initial=0.0))
     certs.append(check("restricted-point-shift", shift, "<=", eps_half,
                        tol=1e-12))
     return AhspWitness(comp, witness.indices, tuple(points), functional,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .absolute import AbsoluteNorm2
-from .ahsp import (ahp_oracle_uniformly_convex, ahsp_oracle_for,
+from .ahsp import (UniformlyConvexAhspOracle, ahsp_oracle_for,
                    direct_sum_witness, eta_policy, restrict_witness)
 from .alignment import align_isometry, verify_isometry
 from .bpb import (BpbInstance, ConvexSeries, cascade_l1sum,
@@ -546,7 +546,7 @@ def _ahsp_lattice_sum_setup(params: dict) -> dict:
     E = LpLattice(m, p)
     components = [EuclideanSpace(2) for _ in range(m)]
     Z = lattice_sum_space(E, components)
-    ahp = [ahp_oracle_uniformly_convex(c) for c in components]
+    ahp = [UniformlyConvexAhspOracle(c) for c in components]
     oracle = default_profile_oracle(E)
     return {"E": E, "space": Z, "E_oracle": oracle, "component_ahp": ahp,
             "policy": lattice_sum_policy(

@@ -14,6 +14,11 @@ them, and runs the full witness pipeline for series in the sum:
    functional nearly attains, patched face points with one common
    functional per component, and the assembled witness whose functional
    takes the value one on every witness point exactly.
+
+Each stage of the pipeline runs on row arrays: one row per series point,
+the block norms from one ``DirectSumSpace.profiles`` call, the per-block
+pairings by ``np.add.reduceat`` over the component column slices, and each
+distance bound from one ``norms`` call.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ahsp import (AhspOracle, AhspWitness, UniformlyConvexAhspOracle,
-                   ahp_oracle_uniformly_convex, verify_ahsp_witness)
+                   _directions, _point_rows, verify_ahsp_witness)
 from .bpb import HYPOTHESIS_SLACK, ConvexSeries
 from .certs import Certificate, check, ensure
 from .errors import (DegenerateInput, HypothesisError, RangeError)
@@ -98,8 +103,11 @@ def duality_isometry_check(Z: DirectSumSpace, x_star,
     order they are the numbers per-sample draws from the same Generator
     give.  Each point is normalised, and its blocks are also replaced by
     their norms times the component attaining vectors of the fixed
-    functional, so the sweep is a few array operations per block.
+    functional, so the sweep is a few array operations per block.  The
+    ``seed`` must be a nonnegative integer, else :class:`RangeError`.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise RangeError(f"seed must be a nonnegative integer, got {seed!r}")
     f = Z.coerce(x_star)
     lhs = Z.dual_norm(f)
     if lhs == 0.0:
@@ -289,13 +297,13 @@ def lattice_sum_witness(Z: DirectSumSpace, series: ConvexSeries,
     """
     E = Z.combiner
     E_oracle = E_oracle or default_profile_oracle(E)
-    component_ahp = component_ahp or [ahp_oracle_uniformly_convex(c)
+    component_ahp = component_ahp or [UniformlyConvexAhspOracle(c)
                                       for c in Z.components]
     pol = policy or lattice_sum_policy(Z, epsilon, component_ahp, E_oracle)
     certs: list[Certificate] = []
     m = len(Z.components)
 
-    pts = [Z.coerce(p) for p in series.payload]
+    pts = _point_rows(Z, series.payload)
     total = sum(w * p for w, p in zip(series.weights, pts))
     total_norm = Z.norm(total)
     certs.append(check("series-hypothesis", total_norm, ">=",
@@ -305,36 +313,28 @@ def lattice_sum_witness(Z: DirectSumSpace, series: ConvexSeries,
             f"|sum a_n z_n| = {total_norm} is not above 1 - eta' = "
             f"{1.0 - pol.eta_prime} (slack {LATTICE_SUM_SLACK})")
 
-    profiles = np.array([Z.profile(p) for p in pts])
+    profiles = Z.profiles(pts)
     wE = E_oracle.witness(ConvexSeries(series.weights, profiles),
                           pol.epsilon_prime, slack=LATTICE_SUM_SLACK)
-    A = wE.indices
-    r_of = {n: np.asarray(wE.points[j], dtype=float)
-            for j, n in enumerate(A)}
+    A = list(wE.indices)
+    # one row per index of A: witnessed profiles, unit block directions
+    # (u_hat) and lifted points (u)
+    R = np.array(wE.points, dtype=float).reshape(len(A), m)
     r_star = np.asarray(wE.functional, dtype=float)
-    neg = min(float(r_of[n].min()) for n in A)
-    certs.append(check("profile-witness-nonneg", neg, ">=", 0.0, tol=1e-12))
+    certs.append(check("profile-witness-nonneg", float(R.min()), ">=", 0.0,
+                       tol=1e-12))
 
+    spans = list(zip(Z.offsets[:-1], Z.offsets[1:]))
+    widths = np.diff(Z.offsets)
     canon = [comp.canonical_unit() for comp in Z.components]
-    u: dict[int, np.ndarray] = {}
-    u_hat: dict[int, list[np.ndarray | None]] = {}
-    lift_err = 0.0
-    for n in A:
-        blocks = Z.split(pts[n])
-        new_blocks = []
-        hats: list[np.ndarray | None] = []
-        for k, (comp, b) in enumerate(zip(Z.components, blocks)):
-            bn = comp.norm(b)
-            direction = b / bn if bn > 0.0 else canon[k]
-            hats.append(direction)
-            new_blocks.append(float(r_of[n][k]) * direction)
-        u[n] = Z.embed(new_blocks)
-        u_hat[n] = hats
-        lift_err = max(lift_err, Z.norm(u[n] - pts[n]))
+    u_hat = np.hstack([_directions(pts[A, lo:hi], profiles[A, k], canon[k])
+                       for k, (lo, hi) in enumerate(spans)])
+    u = np.repeat(R, widths, axis=1) * u_hat
+    lift_err = float(Z.norms(u - pts[A]).max(initial=0.0))
     certs.append(check("lifted-point-distance", lift_err, "<",
                        pol.epsilon_prime, tol=1e-15))
 
-    v_vec = sum(series.weights[n] * u[n] for n in A)
+    v_vec = sum(series.weights[n] * un for n, un in zip(A, u))
     norming = build_norming_element(Z, v_vec, pol.epsilon_prime)
     z_star = norming.assembled
     e_star = norming.e_star
@@ -343,127 +343,104 @@ def lattice_sum_witness(Z: DirectSumSpace, series: ConvexSeries,
                        1.0 - pol.eta_prime - 2.0 * pol.epsilon_prime,
                        tol=LATTICE_SUM_SLACK))
 
-    C = [n for n in A
-         if float(np.real(Z.pairing(z_star, u[n]))) > pol.r]
+    rows_C = np.flatnonzero(np.real(u @ z_star) > pol.r)
+    C = [A[j] for j in rows_C]
     mass_C = float(sum(series.weights[n] for n in C))
     certs.append(check("selected-mass", mass_C, ">", 1.0 - 0.9 * epsilon))
     if not C:
         ensure(certs)
 
-    z_star_blocks = Z.split(z_star)
+    # from here on rows follow C
+    R, u_hat, u = R[rows_C], u_hat[rows_C], u[rows_C]
     comp_funcs = norming.component_functionals
-    defect_sum_max = -math.inf
-    support_mass_min = math.inf
-    residual_min = math.inf
-    escaped_max = 0.0
-    comp_support_min = math.inf
-    B: dict[int, list[int]] = {}
-    for n in C:
-        u_blocks = Z.split(u[n])
-        d = np.zeros(m)
-        weights_k = np.zeros(m)
-        for k, comp in enumerate(Z.components):
-            un_norm = comp.norm(u_blocks[k])
-            weights_k[k] = float(e_star[k]) * un_norm
-            d[k] = weights_k[k] - float(np.real(comp.pairing(z_star_blocks[k],
-                                                             u_blocks[k])))
-        defect_sum_max = max(defect_sum_max, float(d.sum()))
-        Bn = [k for k in range(m)
-              if d[k] < pol.eta * weights_k[k]]
-        B[n] = Bn
-        support_mass_min = min(support_mass_min,
-                               float(sum(weights_k[k] for k in Bn)))
-        rn = r_of[n]
-        inside = np.where(np.isin(np.arange(m), Bn), rn, 0.0)
-        outside = rn - inside
-        residual_min = min(residual_min, E.norm_of(inside))
-        escaped_max = max(escaped_max, E.norm_of(outside))
-        for k in Bn:
-            comp = Z.components[k]
-            comp_support_min = min(
-                comp_support_min,
-                float(np.real(comp.pairing(comp_funcs[k], u_hat[n][k]))))
-    certs.append(check("defect-sum", defect_sum_max, "<=", 1.0 - pol.r,
-                       tol=1e-12))
-    certs.append(check("support-mass", support_mass_min, ">",
-                       pol.r - (1.0 - pol.r) / pol.eta))
-    certs.append(check("residual-mass", residual_min, ">", 1.0 - pol.alpha))
-    certs.append(check("escaped-mass", escaped_max, "<=", epsilon / 4.0,
-                       tol=1e-12))
-    certs.append(check("component-support", comp_support_min, ">",
+    starts = Z.offsets[:-1]
+    # per-block defects d[n, k] = e*_k |u_n^k| - z*_k(u_n^k); in_B[n, k]
+    # marks the blocks B[n] where the defect is below eta times that weight
+    weights_k = e_star * Z.profiles(u)
+    d = weights_k - np.add.reduceat(u * z_star, starts, axis=1)
+    in_B = d < pol.eta * weights_k
+    inside = np.where(in_B, R, 0.0)
+    support = np.add.reduceat(u_hat * np.concatenate(comp_funcs), starts,
+                              axis=1)
+    certs.append(check("defect-sum",
+                       float(d.sum(axis=1).max(initial=-math.inf)), "<=",
+                       1.0 - pol.r, tol=1e-12))
+    certs.append(check("support-mass",
+                       float(np.where(in_B, weights_k, 0.0).sum(axis=1)
+                             .min(initial=math.inf)),
+                       ">", pol.r - (1.0 - pol.r) / pol.eta))
+    certs.append(check("residual-mass",
+                       float(E.norms(inside).min(initial=math.inf)), ">",
+                       1.0 - pol.alpha))
+    certs.append(check("escaped-mass",
+                       float(E.norms(R - inside).max(initial=0.0)), "<=",
+                       epsilon / 4.0, tol=1e-12))
+    certs.append(check("component-support",
+                       float(support[in_B].min(initial=math.inf)), ">",
                        1.0 - pol.eta))
 
-    covered = sorted({k for n in C for k in B[n]})
+    # face points: for each covered block k, one row per n in C with k in
+    # B[n]
+    covered = [k for k in range(m) if in_B[:, k].any()]
     y_star: dict[int, np.ndarray] = {}
-    face_of: dict[tuple[int, int], np.ndarray] = {}
-    oracle_by_k = {k: component_ahp[k] for k in range(m)}
+    face_of: dict[int, np.ndarray] = {}
+    face_dist: dict[int, np.ndarray] = {}
     face_dist_max = 0.0
     face_value_dev = 0.0
     for k in covered:
         comp = Z.components[k]
-        y_star[k] = oracle_by_k[k].upsilon(comp_funcs[k])
-        for n in C:
-            if k in B[n]:
-                mk = oracle_by_k[k].face_point(y_star[k], u_hat[n][k])
-                face_of[(n, k)] = comp.coerce(mk)
-                face_dist_max = max(face_dist_max,
-                                    comp.norm(face_of[(n, k)] - u_hat[n][k]))
-                face_value_dev = max(
-                    face_value_dev,
-                    abs(float(np.real(comp.pairing(y_star[k],
-                                                   face_of[(n, k)]))) - 1.0))
+        lo, hi = spans[k]
+        y_star[k] = component_ahp[k].upsilon(comp_funcs[k])
+        hats = u_hat[in_B[:, k], lo:hi]
+        face_of[k] = _point_rows(comp, component_ahp[k].face_points(y_star[k],
+                                                                    hats))
+        face_dist[k] = comp.norms(face_of[k] - hats)
+        face_dist_max = max(face_dist_max, float(face_dist[k].max()))
+        face_value_dev = max(face_value_dev, float(
+            np.abs(np.real(face_of[k] @ y_star[k]) - 1.0).max()))
     certs.append(check("face-point-distance", face_dist_max, "<",
                        epsilon / 4.0, tol=1e-12))
     certs.append(check("face-point-value", face_value_dev, "<=", 0.0,
                        tol=TOL_SPHERE))
     for k in range(m):
         if k not in covered:
-            comp = Z.components[k]
-            y_star[k] = comp.norming_functional(canon[k])
+            y_star[k] = Z.components[k].norming_functional(canon[k])
 
-    patch: dict[int, int] = {}
-    for k in covered:
-        patch[k] = min(n for n in C if k in B[n])
-
-    points = []
+    # block k of point n: its own face point when k is in B[n]; when k is
+    # covered but not in B[n], the face point of the smallest n' with k in
+    # B[n']; else the canonical direction
+    directions = []
     patched_excess = -math.inf
-    patched_total_max = 0.0
-    final_dist_max = 0.0
-    value_dev = 0.0
-    for n in C:
-        rn = r_of[n]
-        blocks = []
-        for k, comp in enumerate(Z.components):
-            if k in B[n]:
-                direction = face_of[(n, k)]
-                patched_excess = max(
-                    patched_excess,
-                    float(rn[k]) * comp.norm(direction - u_hat[n][k])
-                    - (epsilon / 4.0) * float(rn[k]))
-            elif k in covered:
-                direction = face_of[(patch[k], k)]
-            else:
-                direction = canon[k]
-            blocks.append(float(rn[k]) * direction)
-        vn = Z.embed(blocks)
-        points.append(vn)
-        patched_total_max = max(patched_total_max, Z.norm(vn - u[n]))
-        final_dist_max = max(final_dist_max, Z.norm(vn - pts[n]))
-        value_dev = max(value_dev,
-                        abs(float(np.dot(r_star, rn)) - 1.0))
+    for k, (lo, hi) in enumerate(spans):
+        if k in covered:
+            rows_k = np.flatnonzero(in_B[:, k])
+            dk = np.empty((len(C), hi - lo))
+            dk[rows_k] = face_of[k]
+            dk[~in_B[:, k]] = dk[min(rows_k, key=C.__getitem__)]
+            r_in = R[rows_k, k]
+            patched_excess = max(patched_excess, float(
+                (r_in * face_dist[k] - (epsilon / 4.0) * r_in).max()))
+        else:
+            dk = np.repeat(canon[k][None, :], len(C), axis=0)
+        directions.append(dk)
+    V = np.repeat(R, widths, axis=1) * np.hstack(directions)
     certs.append(check("patched-block-distance", patched_excess, "<=", 0.0,
                        tol=1e-12))
-    certs.append(check("patched-distance", patched_total_max, "<=",
+    certs.append(check("patched-distance",
+                       float(Z.norms(V - u).max(initial=0.0)), "<=",
                        0.75 * epsilon, tol=1e-12))
-    certs.append(check("witness-distance-final", final_dist_max, "<",
+    certs.append(check("witness-distance-final",
+                       float(Z.norms(V - pts[C]).max(initial=0.0)), "<",
                        epsilon))
-    certs.append(check("profile-value-exact", value_dev, "<=", 0.0,
-                       tol=TOL_SPHERE))
+    certs.append(check("profile-value-exact",
+                       float(np.abs(R @ r_star - 1.0).max(initial=0.0)), "<=",
+                       0.0, tol=TOL_SPHERE))
 
     functional = Z.embed([float(r_star[k]) * y_star[k] for k in range(m)])
-    witness = AhspWitness(Z, tuple(C), tuple(points), functional, epsilon)
+    points = tuple(V)
+    witness = AhspWitness(Z, tuple(C), points, functional, epsilon)
     final = verify_ahsp_witness(series, witness)
     certs.extend(final)
     ensure(certs)
-    return AhspWitness(Z, tuple(C), tuple(points), functional, epsilon,
+    return AhspWitness(Z, tuple(C), points, functional, epsilon,
                        tuple(certs))

@@ -325,6 +325,14 @@ class DirectSumSpace(NormedSpace):
         return np.array([comp.norm(b)
                          for comp, b in zip(self.components, self.split(x))])
 
+    def profiles(self, rows) -> np.ndarray:
+        """The ``(n, m)`` block norms of the rows of an ``(n, dim)`` array:
+        each component's ``norms`` on its column slice."""
+        arr = self.coerce_rows(rows)
+        return np.column_stack([
+            comp.norms(arr[:, lo:hi]) for comp, lo, hi
+            in zip(self.components, self.offsets[:-1], self.offsets[1:])])
+
     def dual_profile(self, f) -> np.ndarray:
         return np.array([comp.dual_norm(b)
                          for comp, b in zip(self.components, self.split(f))])
@@ -335,11 +343,7 @@ class DirectSumSpace(NormedSpace):
         return self.combiner.norm_of(self.profile(x))
 
     def norms(self, rows) -> np.ndarray:
-        arr = self.coerce_rows(rows)
-        profiles = np.column_stack([
-            comp.norms(arr[:, lo:hi]) for comp, lo, hi
-            in zip(self.components, self.offsets[:-1], self.offsets[1:])])
-        return self.combiner.norms(profiles)
+        return self.combiner.norms(self.profiles(rows))
 
     def dual_norm(self, f) -> float:
         return self.combiner.dual_norm_of(self.dual_profile(f))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -120,6 +121,23 @@ class TestDualityIsometry:
         Z = lattice_sum_space(LpLattice(2, 1.0), COMPONENTS())
         with pytest.raises(DegenerateInput):
             duality_isometry_check(Z, np.zeros(5))
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 40), 1.5, "3"])
+    def test_bad_seed_is_a_range_error(self, seed):
+        # raised before numpy's SeedSequence, whose own error is a raw
+        # ValueError (negative) or TypeError (not an integer)
+        Z = lattice_sum_space(LpLattice(2, 1.0), COMPONENTS())
+        with mock.patch.object(np.random, "SeedSequence") as seq:
+            with pytest.raises(RangeError, match="seed"):
+                duality_isometry_check(Z, np.array([0.1, 0.2, 0.3, 0.4, -0.5]),
+                                       seed=seed)
+        seq.assert_not_called()
+
+    def test_numpy_integer_seed_is_an_int_seed(self):
+        Z = lattice_sum_space(LpLattice(2, 2.0), COMPONENTS())
+        f = np.array([0.1, 0.2, 0.3, 0.4, -0.5])
+        assert (duality_isometry_check(Z, f, seed=np.int64(4))
+                == duality_isometry_check(Z, f, seed=4))
 
 
 class TestNormingElement:

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpbkit import lattice_sums
-from bpbkit.absolute import AbsoluteNorm2, lemma_fact_delta
+from bpbkit import absolute, lattice_sums
+from bpbkit.ahsp import AhspWitness, ahsp_oracle_for, verify_ahsp_witness
+from bpbkit.absolute import AbsoluteNorm2, boundary_completion, lemma_fact_delta
+from bpbkit.bpb import ConvexSeries
 from bpbkit.certs import check
-from bpbkit.errors import DimensionError, RangeError
+from bpbkit.errors import (DimensionError, HypothesisError, NotOnSphere,
+                           OracleViolation, RangeError)
 from bpbkit.lattice_sums import duality_isometry_check, sampled_dual_norm
 from bpbkit.lattices import Absolute2Lattice, LpLattice, WeightedL1Lattice
 from bpbkit.moduli import _halton_directions, convexity_modulus
@@ -393,3 +396,282 @@ class TestLemmaFactDeltaSweep:
             for eps in DELTA_EPSILONS:
                 want = _per_point_delta(n, eps, 1001)
                 assert lemma_fact_delta(n, eps, 1001) == want
+
+
+# -- boundary_completion memo ----------------------------------------------
+
+
+def _completion_reference(n, r, s, which):
+    """``boundary_completion`` without the memo: the 60-step bisection on
+    every call (the sphere check is left to the code under test)."""
+    m = n if which == "second_coord" else n.swapped()
+    sign_src = r if which == "second_coord" else s
+    if m.value((1.0, 1.0)) <= 1.0 + 1e-13:
+        t = 1.0
+    else:
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if m.value((mid, 1.0)) <= 1.0 + 1e-13:
+                lo = mid
+            else:
+                hi = mid
+        t = lo
+    return math.copysign(t, sign_src) if sign_src != 0.0 else t
+
+
+COMPLETION_GENERATORS = {
+    **{f"lp{p}": (lambda p=p: AbsoluteNorm2.lp(p))
+       for p in (1.0, 1.5, 2.0, 3.0, math.inf)},
+    "table": lambda: AbsoluteNorm2.from_table(TABLE.nodes),
+    "random-table": lambda: _random_table(11),
+}
+
+
+def _sphere_pairs(n):
+    """Unit pairs of all four sign patterns, the axis points (a zero
+    coordinate) included."""
+    out = []
+    for u in np.linspace(0.0, 1.0, 9):
+        a, b = n.sphere_point(float(u))
+        for sa in (1.0, -1.0):
+            for sb in (1.0, -1.0):
+                out.append((sa * float(a), sb * float(b)))
+    return out
+
+
+class TestBoundaryCompletionMemo:
+    @pytest.mark.parametrize("name", sorted(COMPLETION_GENERATORS))
+    @pytest.mark.parametrize("which", ["second_coord", "first_coord"])
+    def test_bit_identical_to_unmemoised_bisection(self, name, which):
+        n = COMPLETION_GENERATORS[name]()
+        pairs = _sphere_pairs(n)
+        assert any(r == 0.0 for r, _ in pairs) and any(s == 0.0 for _, s in pairs)
+        for _ in range(2):  # cold, then from the filled memo
+            for r, s in pairs:
+                got = boundary_completion(n, r, s, which)
+                want = _completion_reference(n, r, s, which)
+                assert got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("name", sorted(COMPLETION_GENERATORS))
+    def test_one_bisection_per_axis(self, name):
+        n = COMPLETION_GENERATORS[name]()
+        with mock.patch.object(absolute, "_completion_bisection",
+                               wraps=absolute._completion_bisection) as spy:
+            for r, s in _sphere_pairs(n):
+                for which in ("second_coord", "first_coord"):
+                    boundary_completion(n, r, s, which)
+        assert spy.call_count == 2
+
+    @pytest.mark.parametrize("name", sorted(COMPLETION_GENERATORS))
+    def test_filled_memo_still_checks_the_sphere(self, name):
+        n = COMPLETION_GENERATORS[name]()
+        a, b = n.sphere_point(0.3)
+        for which in ("second_coord", "first_coord"):
+            boundary_completion(n, float(a), float(b), which)
+            for r, s in ((0.5 * a, 0.5 * b), (2.0 * a, b), (0.0, 0.0)):
+                with pytest.raises(NotOnSphere):
+                    boundary_completion(n, float(r), float(s), which)
+
+
+# -- witness pipelines on row arrays ----------------------------------------
+
+
+def _verify_per_point(series, witness):
+    """``verify_ahsp_witness`` as a per-point loop of scalar calls."""
+    space, eps = witness.space, witness.epsilon
+    w = series.weights
+    mass = float(sum(w[k] for k in witness.indices))
+    unit_dev = 0.0
+    face_dev = 0.0
+    dist_max = 0.0
+    for k, z in zip(witness.indices, witness.points):
+        zv = space.coerce(z)
+        unit_dev = max(unit_dev, abs(space.norm(zv) - 1.0))
+        face_dev = max(face_dev,
+                       abs(np.real(space.pairing(witness.functional, zv)) - 1.0))
+        dist_max = max(dist_max, space.norm(zv - space.coerce(series.payload[k])))
+    return [
+        check("witness-mass", mass, ">", 1.0 - eps),
+        check("witness-distance", dist_max, "<", eps),
+        check("witness-point-unit", unit_dev, "<=", 0.0, tol=TOL_SPHERE),
+        check("witness-face-value", face_dev, "<=", 0.0, tol=TOL_SPHERE),
+        check("witness-functional-unit",
+              abs(space.dual_norm(witness.functional) - 1.0), "<=", 0.0,
+              tol=TOL_SPHERE),
+    ]
+
+
+UNIT_COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False,
+                       allow_subnormal=False)
+
+
+def _unit_rows(data, space, n):
+    """``n`` unit rows built from drawn coordinates (a zero draw becomes the
+    canonical unit)."""
+    rows = np.array(data.draw(st.lists(UNIT_COORD, min_size=n * space.dim,
+                                       max_size=n * space.dim)),
+                    dtype=float).reshape(n, space.dim).astype(space.dtype)
+    if space.scalar_field == "complex":
+        rows = rows + 1j * np.array(data.draw(st.lists(
+            UNIT_COORD, min_size=n * space.dim, max_size=n * space.dim))
+        ).reshape(n, space.dim)
+    out = []
+    for r in rows:
+        out.append(space.unit(r) if space.norm(r) > 0.0
+                   else space.canonical_unit())
+    return np.array(out, dtype=space.dtype).reshape(n, space.dim)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_verify_matches_per_point_loop(name, data):
+    space = SPACES[name]
+    n = data.draw(st.integers(1, 6))
+    payload = _unit_rows(data, space, n)
+    weights = np.array(data.draw(st.lists(
+        st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    series = ConvexSeries(weights / weights.sum(), payload, strict=False)
+    indices = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
+    # each witness point is its series point, a point moved toward another
+    # unit row, or an unnormalised draw
+    moved = _unit_rows(data, space, len(indices))
+    points = []
+    for j, k in enumerate(indices):
+        how = data.draw(st.sampled_from(["same", "near", "far"]))
+        if how == "same":
+            points.append(payload[k].copy())
+        elif how == "near":
+            points.append(space.unit(payload[k] + 0.05 * moved[j])
+                          if space.norm(payload[k] + 0.05 * moved[j]) > 0.0
+                          else payload[k].copy())
+        else:
+            points.append(2.0 * moved[j])
+    functional = (space.norming_functional(payload[indices[0]]) if indices
+                  and data.draw(st.booleans())
+                  else space.norming_functional(space.canonical_unit()))
+    functional = functional * data.draw(st.sampled_from([1.0, 1.0, 1.5]))
+    eps = data.draw(st.sampled_from([0.05, 0.3, 0.9]))
+    witness = AhspWitness(space, indices, tuple(points), functional, eps)
+    got = verify_ahsp_witness(series, witness)
+    want = _verify_per_point(series, witness)
+    assert [c.name for c in got] == [c.name for c in want]
+    assert [c.passed for c in got] == [c.passed for c in want]
+    # the lhs values are deviations from and distances between points of
+    # norm at most 2, so they are compared on that unit scale
+    np.testing.assert_allclose([c.lhs for c in got], [c.lhs for c in want],
+                               rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_verify_empty_index_set(name):
+    space = SPACES[name]
+    payload = np.array([space.canonical_unit()])
+    series = ConvexSeries([1.0], payload)
+    f = space.norming_functional(space.canonical_unit())
+    witness = AhspWitness(space, (), (), f, 0.3)
+    got = verify_ahsp_witness(series, witness)
+    assert got == _verify_per_point(series, witness)
+    assert [c.lhs for c in got[1:4]] == [0.0, 0.0, 0.0]
+
+
+SUMS = {name: space for name, space in SPACES.items()
+        if isinstance(space, DirectSumSpace)}
+SUMS["euclidean-sum"] = DirectSumSpace(
+    [EuclideanSpace(2), EuclideanSpace(1), EuclideanSpace(3)], LpLattice(3, 1.0))
+
+
+@pytest.mark.parametrize("name", sorted(SUMS))
+class TestProfiles:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_match_per_row_profile(self, name, data):
+        Z = SUMS[name]
+        rows = _rows(data, Z)
+        want = np.array([Z.profile(r) for r in rows]).reshape(
+            len(rows), len(Z.components))
+        got = Z.profiles(rows)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_empty_input(self, name):
+        Z = SUMS[name]
+        assert Z.profiles(np.zeros((0, Z.dim))).shape == (0, len(Z.components))
+
+    def test_norms_combine_the_profiles(self, name):
+        Z = SUMS[name]
+        rows = np.random.default_rng(3).standard_normal((20, Z.dim))
+        np.testing.assert_array_equal(Z.norms(rows),
+                                      Z.combiner.norms(Z.profiles(rows)))
+
+
+def _witness_ball_per_point(oracle, points, functional, epsilon):
+    """``_FaceOracle.witness_ball`` as a per-point loop of scalar calls."""
+    space = oracle.space
+    w_star = space.coerce(functional)
+    if abs(space.dual_norm(w_star) - 1.0) > TOL_SPHERE:
+        raise RangeError("witness_ball requires a unit functional")
+    bar = 1.0 - oracle.eta_ball(epsilon)
+    out = []
+    for j, p in enumerate(points):
+        pv = space.coerce(p)
+        val = float(np.real(space.pairing(w_star, pv)))
+        if not val > bar - 1e-12:
+            raise HypothesisError(
+                f"point {j}: Re w*(p) = {val} is not above {bar}")
+        z = oracle.face_point(w_star, pv)
+        d = space.norm(pv - z)
+        if not d < epsilon + 1e-12:
+            raise OracleViolation(
+                f"point {j}: face distance {d} is not below {epsilon}")
+        out.append(z)
+    return tuple(range(len(points))), out, w_star
+
+
+BALL_SPACES = {
+    "euclidean": EuclideanSpace(3),
+    "euclidean-complex": EuclideanSpace(2, "complex"),
+    "lp3": LpSpace(3, 3.0),
+    "plane-lp": PlaneSpace(AbsoluteNorm2.lp(2.5)),
+    "plane-table": PlaneSpace(TABLE),
+    "plane-l1": PlaneSpace(AbsoluteNorm2.lp(1.0)),
+    "plane-linf": PlaneSpace(AbsoluteNorm2.lp(math.inf)),
+}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (HypothesisError, OracleViolation) as exc:
+        return type(exc), str(exc).split(":")[0]
+
+
+@pytest.mark.parametrize("name", sorted(BALL_SPACES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_witness_ball_matches_per_point_loop(name, data):
+    space = BALL_SPACES[name]
+    oracle = ahsp_oracle_for(space)
+    n = data.draw(st.integers(0, 6))
+    w_star = space.norming_functional(_unit_rows(data, space, 1)[0])
+    base = space.attaining_vector(w_star)
+    # points near the face, moved by a drawn scale: small moves keep the
+    # hypothesis, larger ones break it or the distance bound
+    noise = _unit_rows(data, space, n)
+    scales = data.draw(st.lists(st.sampled_from([0.0, 1e-3, 0.05, 0.4, 1.5]),
+                                min_size=n, max_size=n))
+    points = [base + t * v for t, v in zip(scales, noise)]
+    eps = data.draw(st.sampled_from([0.1, 0.3]))
+    got = _outcome(lambda: oracle.witness_ball([1.0] * n, points, w_star, eps))
+    want = _outcome(lambda: _witness_ball_per_point(oracle, points, w_star,
+                                                    eps))
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    assert len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got[2], want[2])
