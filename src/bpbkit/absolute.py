@@ -48,6 +48,27 @@ def _p_value(a: float, b: float, p: float) -> float:
     return m * ((a / m) ** p + (b / m) ** p) ** (1.0 / p)
 
 
+def _p_values(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """:func:`_p_value` of every pair ``(a[i], b[i])``, in one pass."""
+    if p == math.inf:
+        return np.maximum(a, b)
+    if p == 1.0:
+        return a + b
+    if p == 2.0:
+        return np.hypot(a, b)
+    m = np.maximum(a, b)
+    scale = np.where(m == 0.0, 1.0, m)
+    return m * ((a / scale) ** p + (b / scale) ** p) ** (1.0 / p)
+
+
+def _abs_rows(rows) -> np.ndarray:
+    """The coordinatewise absolute values of an ``(n, 2)`` array."""
+    arr = np.abs(np.asarray(rows, dtype=float))
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DimensionError(f"expected an (n, 2) array, got shape {arr.shape}")
+    return arr
+
+
 def dual_exponent(p: float) -> float:
     """The exponent q with 1/p + 1/q = 1 (1 and inf are swapped)."""
     if p == 1.0:
@@ -224,21 +245,10 @@ class AbsoluteNorm2:
 
     def values(self, rows) -> np.ndarray:
         """:meth:`value` of every row of an ``(n, 2)`` array, in one pass."""
-        arr = np.abs(np.asarray(rows, dtype=float))
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise DimensionError(f"expected an (n, 2) array, got shape {arr.shape}")
+        arr = _abs_rows(rows)
         a, b = arr[:, 0], arr[:, 1]
         if self.kind == "lp":
-            if self.p == math.inf:
-                return np.maximum(a, b)
-            if self.p == 1.0:
-                return a + b
-            if self.p == 2.0:
-                return np.hypot(a, b)
-            m = np.maximum(a, b)
-            scale = np.where(m == 0.0, 1.0, m)
-            return m * ((a / scale) ** self.p
-                        + (b / scale) ** self.p) ** (1.0 / self.p)
+            return _p_values(a, b, self.p)
         s = a + b
         return s * np.interp(b / np.where(s == 0.0, 1.0, s),
                              [n[0] for n in self.nodes],
@@ -251,6 +261,16 @@ class AbsoluteNorm2:
         if self.kind == "lp":
             return _p_value(c, d, dual_exponent(self.p))
         return max(c * vx + d * vy for vx, vy in self._vertices)
+
+    def dual_values(self, rows) -> np.ndarray:
+        """:meth:`dual_value` of every row of an ``(n, 2)`` array, in one
+        pass."""
+        arr = _abs_rows(rows)
+        c, d = arr[:, 0], arr[:, 1]
+        if self.kind == "lp":
+            return _p_values(c, d, dual_exponent(self.p))
+        v = np.array(self._vertices)
+        return (c[:, None] * v[:, 0] + d[:, None] * v[:, 1]).max(axis=1)
 
     def sphere_point(self, u: float) -> np.ndarray:
         """The unit-sphere point in direction (1-u, u)."""
@@ -307,6 +327,27 @@ class AbsoluteNorm2:
                 raise DegenerateInput(f"no supporting functional found for {x}")
             c, d = min(attaining)
         return np.array([sa * c, sb * d])
+
+    def dual_pairs(self, rows) -> np.ndarray:
+        """:meth:`dual_pair` of every row of an ``(n, 2)`` array, with the
+        same tie rule: the candidates are scanned in lexicographic order and
+        the first one attaining the norm within 1e-9 wins.  A zero row
+        raises :class:`DegenerateInput`."""
+        x = np.asarray(rows, dtype=float)
+        arr = _abs_rows(x)
+        v = self.values(arr)
+        if np.any(v == 0.0):
+            raise DegenerateInput("the zero vector has no supporting functional")
+        if self.is_smooth:
+            out = (arr / v[:, None]) ** (self.p - 1.0)
+        else:
+            cands = np.array(sorted(self.support_candidates()))
+            attains = (arr[:, :1] * cands[:, 0] + arr[:, 1:] * cands[:, 1]
+                       >= (v * (1.0 - 1e-9))[:, None])
+            if not attains.any(axis=1).all():  # pragma: no cover - always attains
+                raise DegenerateInput("no supporting functional found")
+            out = cands[attains.argmax(axis=1)]
+        return np.where(x >= 0.0, 1.0, -1.0) * out
 
     def face_vertices(self, functional) -> list[tuple[float, float]]:
         """Extreme points of ``{p on the sphere, p >= 0 : <functional, p> = 1}``

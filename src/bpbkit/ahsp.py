@@ -115,19 +115,36 @@ def verify_ahsp_witness(series: ConvexSeries,
                         witness: AhspWitness) -> list[Certificate]:
     """Recompute the three witness conditions with fresh evaluations.
 
-    Never raises: returns certificates for the heavy mass (> 1 - eps), the
-    point distances (< eps), unit points, face values, and the unit
-    functional.  The points are coerced once as rows; one ``norms`` call
-    gives their norms, one their distances to the series points, and one
-    product their face values.  With no points the deviations are zero.
+    Returns certificates for the heavy mass (> 1 - eps), the point
+    distances (< eps), unit points, face values, and the unit functional;
+    a failed condition is a failed certificate, not an exception.  The
+    points are coerced once as rows; one ``norms`` call gives their norms,
+    one their distances to the series points, and one product their face
+    values.  With no points the deviations are zero.
+
+    Raises :class:`RangeError`, before any evaluation, when the index set
+    does not name distinct positions of the series (an index out of
+    range, negative or repeated) or when there is not exactly one point
+    per index: the mass would otherwise count weights that no point
+    witnesses.
     """
     space, eps = witness.space, witness.epsilon
     w = series.weights
+    seen = set()
+    for k in witness.indices:
+        if not 0 <= k < len(w):
+            raise RangeError(f"witness index {k} is not a position of the "
+                             f"{len(w)}-point series")
+        if k in seen:
+            raise RangeError(f"witness index {k} is repeated")
+        seen.add(k)
+    if len(witness.points) != len(witness.indices):
+        raise RangeError(f"the witness has {len(witness.points)} points for "
+                         f"{len(witness.indices)} indices")
     mass = float(sum(w[k] for k in witness.indices))
-    n = min(len(witness.indices), len(witness.points))
     f = space.coerce(witness.functional)
-    Z = _point_rows(space, witness.points[:n])
-    X = _point_rows(space, series.payload[list(witness.indices[:n])])
+    Z = _point_rows(space, witness.points)
+    X = _point_rows(space, series.payload[list(witness.indices)])
     unit_dev = float(np.abs(space.norms(Z) - 1.0).max(initial=0.0))
     face_dev = float(np.abs(np.real(Z @ f) - 1.0).max(initial=0.0))
     dist_max = float(space.norms(Z - X).max(initial=0.0))
@@ -167,7 +184,10 @@ def _project_segment(gen: AbsoluteNorm2, p: np.ndarray, va: np.ndarray,
     rays = np.vstack([v, v * [-1.0, 1.0]])
     num = q[0] * rays[:, 1] - q[1] * rays[:, 0]
     den = d[0] * rays[:, 1] - d[1] * rays[:, 0]
-    cross = num[den != 0.0] / den[den != 0.0]
+    # a crossing lies in (0, 1) only if |num| < |den|; dividing only there
+    # keeps the quotient finite
+    near = np.abs(num) < np.abs(den)
+    cross = num[near] / den[near]
     lams = np.unique(np.concatenate([[0.0, 1.0],
                                      cross[(cross > 0.0) & (cross < 1.0)]]))
     residuals = q - lams[:, None] * d

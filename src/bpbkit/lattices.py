@@ -14,8 +14,16 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .absolute import AbsoluteNorm2, _p_value, dual_exponent
+from .absolute import AbsoluteNorm2, _p_value, _p_values, dual_exponent
 from .errors import DegenerateInput, DimensionError, RangeError
+
+
+def _one_hot(dim: int, cols: np.ndarray, values) -> np.ndarray:
+    """``len(cols)`` rows of zeros with ``values[i]`` in column ``cols[i]``
+    of row i."""
+    out = np.zeros((len(cols), dim))
+    out[np.arange(len(cols)), cols] = values
+    return out
 
 
 class FiniteLattice(ABC):
@@ -62,6 +70,22 @@ class FiniteLattice(ABC):
     @abstractmethod
     def dual_attaining_vector(self, c) -> np.ndarray:
         """A nonnegative unit vector u with <|c|, u> = dual_norm(c)."""
+
+    # Row twins of the three dual operations: each maps an ``(n, dim)``
+    # array row by row, with its scalar twin's tie rule, and raises
+    # DegenerateInput when any row is one the scalar twin refuses.
+
+    @abstractmethod
+    def dual_norms(self, rows) -> np.ndarray:
+        """:meth:`dual_norm_of` of every row."""
+
+    @abstractmethod
+    def normings(self, rows) -> np.ndarray:
+        """:meth:`norming_of` of every row."""
+
+    @abstractmethod
+    def dual_attaining_vectors(self, rows) -> np.ndarray:
+        """:meth:`dual_attaining_vector` of every row."""
 
     @abstractmethod
     def to_params(self) -> dict:
@@ -110,6 +134,9 @@ class LpLattice(FiniteLattice):
     def dual_norm_of(self, c) -> float:
         return LpLattice(self.dim, dual_exponent(self.p)).norm_of(c)
 
+    def dual_norms(self, rows) -> np.ndarray:
+        return LpLattice(self.dim, dual_exponent(self.p)).norms(rows)
+
     def norming_of(self, x) -> np.ndarray:
         arr = self._coerce(x)
         n = self.norm_of(arr)
@@ -144,6 +171,35 @@ class LpLattice(FiniteLattice):
         q = dual_exponent(self.p)
         u = (arr / dn) ** (q - 1.0)
         return u / self.norm_of(u)
+
+    def normings(self, rows) -> np.ndarray:
+        arr = self._coerce_rows(rows)
+        n = self.norms(arr)
+        if np.any(n == 0.0):
+            raise DegenerateInput("the zero vector has no supporting functional")
+        signs = np.where(arr >= 0.0, 1.0, -1.0)
+        if self.p == 1.0:
+            return np.where(arr != 0.0, signs, 0.0)
+        if self.p == math.inf:
+            # the first negative maximal coordinate, else the last maximal one
+            ties = np.abs(arr) == n[:, None]
+            neg = ties & (arr < 0.0)
+            j = np.where(neg.any(axis=1), neg.argmax(axis=1),
+                         self.dim - 1 - ties[:, ::-1].argmax(axis=1))
+            return _one_hot(self.dim, j, signs[np.arange(len(arr)), j])
+        return signs * (np.abs(arr) / n[:, None]) ** (self.p - 1.0)
+
+    def dual_attaining_vectors(self, rows) -> np.ndarray:
+        arr = np.abs(self._coerce_rows(rows))
+        dn = self.dual_norms(arr)
+        if np.any(dn == 0.0):
+            raise DegenerateInput("the zero functional attains nowhere on the sphere")
+        if self.p == 1.0:
+            return _one_hot(self.dim, arr.argmax(axis=1), 1.0)
+        if self.p == math.inf:
+            return np.ones_like(arr)
+        u = (arr / dn[:, None]) ** (dual_exponent(self.p) - 1.0)
+        return u / self.norms(u)[:, None]
 
     def to_params(self) -> dict:
         return {"kind": "lp", "dim": self.dim,
@@ -195,6 +251,23 @@ class WeightedL1Lattice(FiniteLattice):
         out[j] = 1.0 / self.weights[j]
         return out
 
+    def dual_norms(self, rows) -> np.ndarray:
+        return (np.abs(self._coerce_rows(rows)) / self.weights).max(axis=1)
+
+    def normings(self, rows) -> np.ndarray:
+        arr = self._coerce_rows(rows)
+        if np.any(self.norms(arr) == 0.0):
+            raise DegenerateInput("the zero vector has no supporting functional")
+        signs = np.where(arr > 0.0, 1.0, np.where(arr < 0.0, -1.0, 0.0))
+        return signs * self.weights
+
+    def dual_attaining_vectors(self, rows) -> np.ndarray:
+        arr = np.abs(self._coerce_rows(rows))
+        if np.any((arr == 0.0).all(axis=1)):
+            raise DegenerateInput("the zero functional attains nowhere on the sphere")
+        j = (arr / self.weights).argmax(axis=1)
+        return _one_hot(self.dim, j, 1.0 / self.weights[j])
+
     def to_params(self) -> dict:
         return {"kind": "weighted_l1", "weights": self.weights.tolist()}
 
@@ -236,6 +309,25 @@ class Absolute2Lattice(FiniteLattice):
         q = dual_exponent(p)
         u = (arr / dn) ** (q - 1.0)
         return u / _p_value(u[0], u[1], p)
+
+    def dual_norms(self, rows) -> np.ndarray:
+        return self.norm2.dual_values(self._coerce_rows(rows))
+
+    def normings(self, rows) -> np.ndarray:
+        return self.norm2.dual_pairs(self._coerce_rows(rows))
+
+    def dual_attaining_vectors(self, rows) -> np.ndarray:
+        arr = np.abs(self._coerce_rows(rows))
+        dn = self.dual_norms(arr)
+        if np.any(dn == 0.0):
+            raise DegenerateInput("the zero functional attains nowhere on the sphere")
+        if self.norm2.is_polyhedral:
+            verts = np.array(self.norm2._vertices)
+            vals = arr[:, :1] * verts[:, 0] + arr[:, 1:] * verts[:, 1]
+            return verts[vals.argmax(axis=1)]
+        p = self.norm2.p
+        u = (arr / dn[:, None]) ** (dual_exponent(p) - 1.0)
+        return u / _p_values(u[:, 0], u[:, 1], p)[:, None]
 
     def to_params(self) -> dict:
         return {"kind": "absolute2", "generator": self.norm2.to_params()}

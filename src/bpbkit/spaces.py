@@ -13,11 +13,16 @@ space the norming functional of ``x`` is ``conj(x)/|x|``.
 
 Norming functionals and dual-attaining vectors are exact on every kind:
 closed forms for euclidean/lp, vertex enumeration for polyhedral generators,
-and the lattice-of-block-norms pairing for direct sums.  ``operator_norm``
+and the lattice-of-block-norms pairing for direct sums.  Every kind has a
+scalar method and a row twin for each operation: ``norm``/``norms``,
+``dual_norm``/``dual_norms``, ``norming_functional``/``norming_functionals``
+and ``attaining_vector``/``attaining_vectors``.  A row twin maps the rows of
+an ``(n, dim)`` array with the scalar method's tie rules.  ``operator_norm``
 has exact paths (one-dimensional domains, l1-like domains by column or block
 maxima, euclidean-to-euclidean by largest singular value) and otherwise
 returns a certified lower bound from multi-start duality-mapping ascent,
-flagged as nonexact.
+flagged as nonexact; the ascent advances all its starts as one row array
+through the row twins.
 """
 
 from __future__ import annotations
@@ -101,6 +106,22 @@ class NormedSpace(ABC):
     def attaining_vector(self, f) -> np.ndarray:
         """A unit vector x with Re f(x) = dual_norm(f)."""
 
+    # Row twins of the three dual operations: each maps the rows of an
+    # ``(n, dim)`` array, coerced once, with its scalar twin's tie rule, and
+    # raises DegenerateInput when any row is one the scalar twin refuses.
+
+    @abstractmethod
+    def dual_norms(self, rows) -> np.ndarray:
+        """:meth:`dual_norm` of every row."""
+
+    @abstractmethod
+    def norming_functionals(self, rows) -> np.ndarray:
+        """:meth:`norming_functional` of every row."""
+
+    @abstractmethod
+    def attaining_vectors(self, rows) -> np.ndarray:
+        """:meth:`attaining_vector` of every row."""
+
     @abstractmethod
     def _params(self) -> dict:
         ...
@@ -161,6 +182,9 @@ class EuclideanSpace(NormedSpace):
     def dual_norm(self, f) -> float:
         return float(np.linalg.norm(self.coerce(f)))
 
+    def dual_norms(self, rows) -> np.ndarray:
+        return self.norms(rows)
+
     def norming_functional(self, x) -> np.ndarray:
         arr = self.coerce(x)
         n = float(np.linalg.norm(arr))
@@ -168,12 +192,26 @@ class EuclideanSpace(NormedSpace):
             raise DegenerateInput("the zero vector has no norming functional")
         return np.conj(arr) / n
 
+    def norming_functionals(self, rows) -> np.ndarray:
+        arr = self.coerce_rows(rows)
+        n = np.linalg.norm(arr, axis=1)
+        if np.any(n == 0.0):
+            raise DegenerateInput("the zero vector has no norming functional")
+        return np.conj(arr) / n[:, None]
+
     def attaining_vector(self, f) -> np.ndarray:
         fv = self.coerce(f)
         n = float(np.linalg.norm(fv))
         if n == 0.0:
             raise DegenerateInput("the zero functional attains nowhere on the sphere")
         return np.conj(fv) / n
+
+    def attaining_vectors(self, rows) -> np.ndarray:
+        arr = self.coerce_rows(rows)
+        n = np.linalg.norm(arr, axis=1)
+        if np.any(n == 0.0):
+            raise DegenerateInput("the zero functional attains nowhere on the sphere")
+        return np.conj(arr) / n[:, None]
 
     def inner(self, a, b):
         """Hermitian inner product <a, b> = sum_i a_i conj(b_i)."""
@@ -184,6 +222,13 @@ class EuclideanSpace(NormedSpace):
 
     def _params(self) -> dict:
         return {"field": self.scalar_field}
+
+
+def _signed_attaining(attain, f: np.ndarray) -> np.ndarray:
+    """A lattice-backed space's dual-attaining vector: ``attain`` (a
+    lattice's ``dual_attaining_vector`` or ``dual_attaining_vectors``) of
+    ``|f|``, with the signs of ``f`` (positive where ``f`` is zero)."""
+    return np.where(f < 0.0, -1.0, 1.0) * attain(np.abs(f))
 
 
 class LpSpace(NormedSpace):
@@ -206,13 +251,22 @@ class LpSpace(NormedSpace):
     def dual_norm(self, f) -> float:
         return self._lat.dual_norm_of(self.coerce(f))
 
+    def dual_norms(self, rows) -> np.ndarray:
+        return self._lat.dual_norms(self.coerce_rows(rows))
+
     def norming_functional(self, x) -> np.ndarray:
         return self._lat.norming_of(self.coerce(x))
 
+    def norming_functionals(self, rows) -> np.ndarray:
+        return self._lat.normings(self.coerce_rows(rows))
+
     def attaining_vector(self, f) -> np.ndarray:
-        fv = self.coerce(f)
-        signs = np.where(fv < 0.0, -1.0, 1.0)
-        return signs * self._lat.dual_attaining_vector(np.abs(fv))
+        return _signed_attaining(self._lat.dual_attaining_vector,
+                                 self.coerce(f))
+
+    def attaining_vectors(self, rows) -> np.ndarray:
+        return _signed_attaining(self._lat.dual_attaining_vectors,
+                                 self.coerce_rows(rows))
 
     def _params(self) -> dict:
         return {"p": self.p if self.p != math.inf else "inf"}
@@ -238,13 +292,22 @@ class PlaneSpace(NormedSpace):
     def dual_norm(self, f) -> float:
         return self.generator.dual_value(self.coerce(f))
 
+    def dual_norms(self, rows) -> np.ndarray:
+        return self.generator.dual_values(self.coerce_rows(rows))
+
     def norming_functional(self, x) -> np.ndarray:
         return self.generator.dual_pair(self.coerce(x))
 
+    def norming_functionals(self, rows) -> np.ndarray:
+        return self.generator.dual_pairs(self.coerce_rows(rows))
+
     def attaining_vector(self, f) -> np.ndarray:
-        fv = self.coerce(f)
-        signs = np.where(fv < 0.0, -1.0, 1.0)
-        return signs * self._lat.dual_attaining_vector(np.abs(fv))
+        return _signed_attaining(self._lat.dual_attaining_vector,
+                                 self.coerce(f))
+
+    def attaining_vectors(self, rows) -> np.ndarray:
+        return _signed_attaining(self._lat.dual_attaining_vectors,
+                                 self.coerce_rows(rows))
 
     def _params(self) -> dict:
         return {"generator": self.generator.to_params()}
@@ -269,13 +332,22 @@ class LatticeSpace(NormedSpace):
     def dual_norm(self, f) -> float:
         return self.lattice.dual_norm_of(self.coerce(f))
 
+    def dual_norms(self, rows) -> np.ndarray:
+        return self.lattice.dual_norms(self.coerce_rows(rows))
+
     def norming_functional(self, x) -> np.ndarray:
         return self.lattice.norming_of(self.coerce(x))
 
+    def norming_functionals(self, rows) -> np.ndarray:
+        return self.lattice.normings(self.coerce_rows(rows))
+
     def attaining_vector(self, f) -> np.ndarray:
-        fv = self.coerce(f)
-        signs = np.where(fv < 0.0, -1.0, 1.0)
-        return signs * self.lattice.dual_attaining_vector(np.abs(fv))
+        return _signed_attaining(self.lattice.dual_attaining_vector,
+                                 self.coerce(f))
+
+    def attaining_vectors(self, rows) -> np.ndarray:
+        return _signed_attaining(self.lattice.dual_attaining_vectors,
+                                 self.coerce_rows(rows))
 
     def _params(self) -> dict:
         return {"lattice": self.lattice.to_params()}
@@ -337,6 +409,14 @@ class DirectSumSpace(NormedSpace):
         return np.array([comp.dual_norm(b)
                          for comp, b in zip(self.components, self.split(f))])
 
+    def dual_profiles(self, rows) -> np.ndarray:
+        """The ``(n, m)`` block dual norms of the rows of an ``(n, dim)``
+        array: each component's ``dual_norms`` on its column slice."""
+        arr = self.coerce_rows(rows)
+        return np.column_stack([
+            comp.dual_norms(arr[:, lo:hi]) for comp, lo, hi
+            in zip(self.components, self.offsets[:-1], self.offsets[1:])])
+
     # -- norms ------------------------------------------------------------
 
     def norm(self, x) -> float:
@@ -347,6 +427,9 @@ class DirectSumSpace(NormedSpace):
 
     def dual_norm(self, f) -> float:
         return self.combiner.dual_norm_of(self.dual_profile(f))
+
+    def dual_norms(self, rows) -> np.ndarray:
+        return self.combiner.dual_norms(self.dual_profiles(rows))
 
     def norming_functional(self, x) -> np.ndarray:
         prof = self.profile(x)
@@ -361,6 +444,22 @@ class DirectSumSpace(NormedSpace):
                 blocks.append(comp.norming_functional(comp.canonical_unit()))
         return np.concatenate([e * blk for e, blk in zip(estar, blocks)])
 
+    def norming_functionals(self, rows) -> np.ndarray:
+        arr = self.coerce_rows(rows)
+        prof = self.profiles(arr)
+        estar = self.combiner.normings(prof)  # raises on a zero row
+        out = np.empty_like(arr)
+        for i, (comp, lo, hi) in enumerate(zip(
+                self.components, self.offsets[:-1], self.offsets[1:])):
+            live = prof[:, i] > 0.0
+            blocks = np.empty((len(arr), hi - lo))
+            blocks[live] = comp.norming_functionals(arr[live, lo:hi])
+            if not live.all():  # a zero block: the canonical unit's functional
+                blocks[~live] = comp.norming_functionals(
+                    comp.canonical_unit()[None])[0]
+            out[:, lo:hi] = estar[:, i:i + 1] * blocks
+        return out
+
     def attaining_vector(self, f) -> np.ndarray:
         dprof = self.dual_profile(f)
         if self.combiner.dual_norm_of(dprof) == 0.0:
@@ -373,6 +472,21 @@ class DirectSumSpace(NormedSpace):
             else:
                 blocks.append(comp.canonical_unit())
         return np.concatenate([ui * blk for ui, blk in zip(u, blocks)])
+
+    def attaining_vectors(self, rows) -> np.ndarray:
+        arr = self.coerce_rows(rows)
+        dprof = self.dual_profiles(arr)
+        u = self.combiner.dual_attaining_vectors(dprof)  # raises on a zero row
+        out = np.empty_like(arr)
+        for i, (comp, lo, hi) in enumerate(zip(
+                self.components, self.offsets[:-1], self.offsets[1:])):
+            live = dprof[:, i] > 0.0
+            blocks = np.empty((len(arr), hi - lo))
+            blocks[live] = comp.attaining_vectors(arr[live, lo:hi])
+            if not live.all():  # a zero block: the canonical unit
+                blocks[~live] = comp.canonical_unit()
+            out[:, lo:hi] = u[:, i:i + 1] * blocks
+        return out
 
     def _params(self) -> dict:
         return {"components": [c.to_json() for c in self.components],
@@ -515,49 +629,55 @@ def _ascent_operator_norm(op: Operator, starts: int = 8,
                           iterations: int = 60) -> OperatorNormResult:
     """Certified lower bound by duality-mapping ascent.
 
-    Repeatedly replaces x by the domain vector attaining the functional
-    ``g o T`` where g norms ``T x`` in the codomain; each step is monotone
-    nondecreasing in ``|T x|``.
+    Each start repeatedly replaces x by the domain vector attaining the
+    functional ``g o T``, where g norms ``T x`` in the codomain; each step
+    is monotone nondecreasing in ``|T x|``.  The starts are the first
+    canonical basis vectors and then seeded Gaussian draws, normalised.
+    They advance together as the rows of one array, through the row
+    kernels ``norming_functionals``, ``dual_norms``, ``attaining_vectors``
+    and ``norms``, for at most ``iterations`` steps each.  A start stops
+    when its image ``T x`` or its functional ``g o T`` has norm zero, or
+    when a step raises ``|T x|`` by no more than a relative 1e-14; x then
+    takes that step and the value the larger of the two.  The first start
+    with the largest value gives the result.
     """
     dom, cod = op.domain, op.codomain
     rng = np.random.default_rng(20240 + dom.dim * 131 + cod.dim)
-    seeds: list[np.ndarray] = []
-    for j in range(min(dom.dim, starts)):
-        e = np.zeros(dom.dim)
-        e[j] = 1.0
-        seeds.append(e)
-    while len(seeds) < starts:
+    seeds = np.zeros((starts, dom.dim), dtype=dom.dtype)
+    k = min(dom.dim, starts)
+    seeds[np.arange(k), np.arange(k)] = 1.0
+    for j in range(k, starts):
         draw = rng.standard_normal(dom.dim)
         if dom.scalar_field == "complex":
             draw = draw + 1j * rng.standard_normal(dom.dim)
-        seeds.append(draw)
-    best_val = -1.0
-    best_x = None
-    for seed in seeds:
-        if dom.norm(seed) == 0.0:
-            continue
-        x = dom.unit(seed)
-        val = cod.norm(op.apply(x))
-        for _ in range(iterations):
-            y = op.apply(x)
-            if cod.norm(y) == 0.0:
-                break
-            g = cod.norming_functional(y)
-            phi = op.matrix.T @ g
-            if dom.dual_norm(phi) == 0.0:
-                break
-            x_new = dom.attaining_vector(phi)
-            new_val = cod.norm(op.apply(x_new))
-            if new_val <= val * (1.0 + 1e-14):
-                x, val = x_new, max(val, new_val)
-                break
-            x, val = x_new, new_val
-        if val > best_val:
-            best_val, best_x = val, x
-    if best_x is None:
-        best_x = dom.canonical_unit()
-        best_val = cod.norm(op.apply(best_x))
-    return OperatorNormResult(best_val, False, best_x, "ascent")
+        seeds[j] = draw
+    lengths = dom.norms(seeds)
+    x = seeds[lengths > 0.0] / lengths[lengths > 0.0, None]
+    if len(x) == 0:
+        witness = dom.canonical_unit()
+        return OperatorNormResult(cod.norm(op.apply(witness)), False, witness,
+                                  "ascent")
+    mat = op.matrix
+    y = x @ mat.T
+    val = cod.norms(y)
+    active = val > 0.0
+    for _ in range(iterations):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        phi = cod.norming_functionals(y[idx]) @ mat
+        live = dom.dual_norms(phi) > 0.0
+        active[idx[~live]] = False
+        idx, phi = idx[live], phi[live]
+        x_new = dom.attaining_vectors(phi)
+        y_new = x_new @ mat.T
+        new_val = cod.norms(y_new)
+        done = new_val <= val[idx] * (1.0 + 1e-14)
+        x[idx], y[idx] = x_new, y_new
+        val[idx] = np.where(done, np.maximum(val[idx], new_val), new_val)
+        active[idx[done]] = False
+    best = int(np.argmax(val))
+    return OperatorNormResult(float(val[best]), False, x[best].copy(), "ascent")
 
 
 def operator_norm(op: Operator) -> OperatorNormResult:

@@ -8,6 +8,7 @@ import pytest
 
 from bpbkit.absolute import AbsoluteNorm2
 from bpbkit.ahsp import (
+    AhspWitness,
     EtaPolicy,
     ahsp_oracle_for,
     direct_sum_space,
@@ -21,7 +22,7 @@ from bpbkit.ahsp import (
 )
 from bpbkit.bpb import ConvexSeries
 from bpbkit.certs import all_passed
-from bpbkit.errors import HypothesisError, InternalInvariantError
+from bpbkit.errors import HypothesisError, InternalInvariantError, RangeError
 from bpbkit.spaces import EuclideanSpace, PlaneSpace
 
 L2GEN = AbsoluteNorm2.lp(2.0)
@@ -146,6 +147,25 @@ class TestVerifyWitness:
         tampered = dataclasses.replace(w, functional=np.array([1.0, 0.0]))
         failed = {c.name for c in verify_ahsp_witness(series, tampered) if not c.passed}
         assert "witness-face-value" in failed
+
+    # A malformed index set once counted weights no point witnessed: the
+    # repeated index below gave witness-mass 1.0 for a true mass of 0.5,
+    # and every certificate passed.
+    E1, E2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+    @pytest.mark.parametrize("indices,points,match", [
+        ((0, 0), (E1, E1), "index 0 is repeated"),
+        ((-1,), (E2,), "index -1 is not a position"),
+        ((2,), (E1,), "index 2 is not a position"),
+        ((0, 1), (E1,), "1 points for 2 indices"),
+        ((0,), (E1, E2), "2 points for 1 indices"),
+    ])
+    def test_malformed_index_set_refused(self, indices, points, match):
+        series = ConvexSeries(np.array([0.5, 0.5]), np.stack([self.E1, self.E2]))
+        witness = AhspWitness(EuclideanSpace(2), indices, points,
+                              np.array([1.0, 0.0]), 0.3)
+        with pytest.raises(RangeError, match=match):
+            verify_ahsp_witness(series, witness)
 
 
 class TestEtaPolicy:

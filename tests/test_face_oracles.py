@@ -3,6 +3,7 @@ the SLSQP face projection."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,8 +199,22 @@ class TestProjectSegment:
     @given(name=st.sampled_from(sorted(GENERATORS)), p=POINT, va=POINT,
            vb=POINT)
     def test_no_farther_than_golden_section(self, name, p, va, vb):
-        gen = self.GENERATORS[name]
-        p, va, vb = np.array(p), np.array(va), np.array(vb)
+        self._check(self.GENERATORS[name], np.array(p), np.array(va),
+                    np.array(vb))
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    @pytest.mark.parametrize("vb", [(1.0, 1e-310), (-1e-310, 1.0),
+                                    (1.0, 1.0 - 1e-16)])
+    def test_nearly_parallel_to_a_vertex_ray(self, name, vb):
+        # the ray crossing is near infinite; it once overflowed in the
+        # divide with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._check(self.GENERATORS[name], np.array([0.3, 0.4]),
+                        np.zeros(2), np.array(vb))
+
+    @staticmethod
+    def _check(gen, p, va, vb):
         z = ahsp._project_segment(gen, p, va, vb)
         golden = gen.value(p - _golden_section_segment(gen, p, va, vb))
         eps = np.finfo(float).eps

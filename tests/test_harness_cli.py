@@ -183,6 +183,19 @@ class TestCli:
         assert main(["ahsp-verify", "--witness", str(witness),
                      "--instance", series]) == 1
 
+    def test_out_of_range_witness_index_in_one_line(self, tmp_path, capsys):
+        # index 3 of a one-point series once ended in a raw IndexError
+        series = write_json(tmp_path / "series.json",
+                            {"weights": [1.0], "points": [[1.0, 0.0]]})
+        witness = write_json(tmp_path / "witness.json",
+                             {**witness_without_indices(), "indices": [3]})
+        assert main(["ahsp-verify", "--witness", witness,
+                     "--instance", series]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: RangeError: witness index 3 is not "
+                                "a position of the 1-point series\n")
+        assert captured.out == ""
+
     def test_restrict_concentrated_witness(self, tmp_path):
         inst_data = plane_sum_instance(0.0)  # everything in the first summand
         inst_data["epsilon"] = 0.2

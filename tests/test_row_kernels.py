@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -9,18 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpbkit import absolute, lattice_sums
+from bpbkit import absolute, lattice_sums, spaces
 from bpbkit.ahsp import AhspWitness, ahsp_oracle_for, verify_ahsp_witness
 from bpbkit.absolute import AbsoluteNorm2, boundary_completion, lemma_fact_delta
 from bpbkit.bpb import ConvexSeries
 from bpbkit.certs import check
-from bpbkit.errors import (DimensionError, HypothesisError, NotOnSphere,
-                           OracleViolation, RangeError)
+from bpbkit.errors import (DegenerateInput, DimensionError, HypothesisError,
+                           NotOnSphere, OracleViolation, RangeError)
 from bpbkit.lattice_sums import duality_isometry_check, sampled_dual_norm
 from bpbkit.lattices import Absolute2Lattice, LpLattice, WeightedL1Lattice
 from bpbkit.moduli import _halton_directions, convexity_modulus
 from bpbkit.spaces import (DirectSumSpace, EuclideanSpace, LatticeSpace,
-                           LpSpace, PlaneSpace)
+                           LpSpace, Operator, OperatorNormResult, PlaneSpace)
 from bpbkit.util import TOL_SPHERE
 
 TABLE = AbsoluteNorm2.from_table([(0.0, 1.0), (0.5, 10.0 / 11.0), (1.0, 1.0)])
@@ -123,6 +124,255 @@ def test_lattice_norms_match_norm_of(E):
     assert got[7] == 0.0
     with pytest.raises(DimensionError):
         E.norms(rows[:, :1])
+
+
+# -- the dual row kernels against their scalar twins ------------------------
+
+DUAL_KERNELS = {"dual_norms": "dual_norm",
+                "norming_functionals": "norming_functional",
+                "attaining_vectors": "attaining_vector"}
+KERNEL_SPACES = {**SPACES,
+                 "plane-l1": PlaneSpace(AbsoluteNorm2.lp(1.0)),
+                 "plane-linf": PlaneSpace(AbsoluteNorm2.lp(math.inf))}
+# kinds whose dual operations are sign, argmax and candidate-scan tie rules
+# on exactly computed values: their row kernels must reproduce the scalar
+# outputs bit for bit; the others may round differently, within rtol 1e-14
+# (below the normal range only an absolute comparison means anything)
+TIE_RULE_SPACES = {"lp1", "lp-inf", "plane-table", "plane-l1", "plane-linf",
+                   "lattice-weighted", "lattice-absolute"}
+TINY = np.finfo(float).tiny
+
+
+def _rows_with_zeros(data, space):
+    """Drawn rows with a drawn share of their coordinates set to zero."""
+    rows = _rows(data, space)
+    zero = data.draw(st.lists(st.sampled_from([False, False, False, True]),
+                              min_size=rows.size, max_size=rows.size))
+    rows[np.array(zero, dtype=bool).reshape(rows.shape)] = 0.0
+    return rows
+
+
+def _assert_same_rows(got, want, exact):
+    want = np.asarray(want, dtype=got.dtype).reshape(got.shape)
+    if exact:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=TINY)
+
+
+@pytest.mark.parametrize("kernel", sorted(DUAL_KERNELS))
+@pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dual_kernel_matches_scalar_loop(name, kernel, data):
+    space = KERNEL_SPACES[name]
+    rows = _rows_with_zeros(data, space)
+    scalar = getattr(space, DUAL_KERNELS[kernel])
+    try:
+        want = [scalar(r) for r in rows]
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput):
+            getattr(space, kernel)(rows)
+        return
+    _assert_same_rows(getattr(space, kernel)(rows), want,
+                      name in TIE_RULE_SPACES)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+class TestDualKernelContract:
+    def test_zero_row(self, name):
+        space = KERNEL_SPACES[name]
+        rows = np.ones((3, space.dim))
+        rows[1] = 0.0
+        assert space.dual_norms(rows)[1] == space.dual_norm(rows[1]) == 0.0
+        for kernel in ("norming_functionals", "attaining_vectors"):
+            with pytest.raises(DegenerateInput):
+                getattr(space, DUAL_KERNELS[kernel])(rows[1])
+            with pytest.raises(DegenerateInput):
+                getattr(space, kernel)(rows)
+
+    def test_empty_input(self, name):
+        space = KERNEL_SPACES[name]
+        empty = np.zeros((0, space.dim))
+        assert space.dual_norms(empty).shape == (0,)
+        assert space.norming_functionals(empty).shape == (0, space.dim)
+        assert space.attaining_vectors(empty).shape == (0, space.dim)
+
+    def test_wrong_width(self, name):
+        space = KERNEL_SPACES[name]
+        for kernel in DUAL_KERNELS:
+            for bad in (np.ones((2, space.dim + 1)), np.ones(space.dim),
+                        np.ones((1, 1, space.dim))):
+                with pytest.raises(DimensionError):
+                    getattr(space, kernel)(bad)
+
+
+LATTICE_KERNELS = {"dual_norms": "dual_norm_of", "normings": "norming_of",
+                   "dual_attaining_vectors": "dual_attaining_vector"}
+KERNEL_LATTICES = {
+    "lp1": LpLattice(3, 1.0), "lp1.5": LpLattice(3, 1.5),
+    "lp3": LpLattice(4, 3.0), "lp-inf": LpLattice(3, math.inf),
+    "weighted": WeightedL1Lattice([1.0, 2.0, 0.5]),
+    "absolute-table": Absolute2Lattice(TABLE),
+    "absolute-l1": Absolute2Lattice(AbsoluteNorm2.lp(1.0)),
+    "absolute-linf": Absolute2Lattice(AbsoluteNorm2.lp(math.inf)),
+    "absolute-lp": Absolute2Lattice(AbsoluteNorm2.lp(2.5)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(LATTICE_KERNELS))
+@pytest.mark.parametrize("name", sorted(KERNEL_LATTICES))
+def test_lattice_dual_kernels_match_scalar(name, kernel):
+    E = KERNEL_LATTICES[name]
+    rng = np.random.default_rng(9)
+    # small integers give ties and zero coordinates; the sphere vertices of
+    # a polyhedral generator sit where two candidates attain
+    rows = np.vstack([rng.standard_normal((20, E.dim)),
+                      rng.integers(-2, 3, (40, E.dim))])
+    if isinstance(E, Absolute2Lattice) and E.norm2.is_polyhedral:
+        rows = np.vstack([rows, E.norm2.vertices,
+                          -np.array(E.norm2.vertices)])
+    rows = rows[np.any(rows != 0.0, axis=1)]
+    scalar = getattr(E, LATTICE_KERNELS[kernel])
+    _assert_same_rows(getattr(E, kernel)(rows), [scalar(r) for r in rows],
+                      name not in ("lp1.5", "lp3", "absolute-lp"))
+    assert getattr(E, kernel)(np.zeros((0, E.dim))).shape[0] == 0
+    with pytest.raises(DimensionError):
+        getattr(E, kernel)(rows[:, :1])
+    if kernel != "dual_norms":
+        with pytest.raises(DegenerateInput):
+            getattr(E, kernel)(np.vstack([rows[:2], np.zeros(E.dim)]))
+
+
+# -- the batched operator-norm ascent against its per-start loop -----------
+
+
+def _ascent_reference(op, starts=8, iterations=60):
+    """The duality-mapping ascent one start at a time through the scalar
+    methods, as it was before the starts were batched."""
+    dom, cod = op.domain, op.codomain
+    rng = np.random.default_rng(20240 + dom.dim * 131 + cod.dim)
+    seeds = []
+    for j in range(min(dom.dim, starts)):
+        e = np.zeros(dom.dim)
+        e[j] = 1.0
+        seeds.append(e)
+    while len(seeds) < starts:
+        draw = rng.standard_normal(dom.dim)
+        if dom.scalar_field == "complex":
+            draw = draw + 1j * rng.standard_normal(dom.dim)
+        seeds.append(draw)
+    best_val = -1.0
+    best_x = None
+    for seed in seeds:
+        if dom.norm(seed) == 0.0:
+            continue
+        x = dom.unit(seed)
+        val = cod.norm(op.apply(x))
+        for _ in range(iterations):
+            y = op.apply(x)
+            if cod.norm(y) == 0.0:
+                break
+            g = cod.norming_functional(y)
+            phi = op.matrix.T @ g
+            if dom.dual_norm(phi) == 0.0:
+                break
+            x_new = dom.attaining_vector(phi)
+            new_val = cod.norm(op.apply(x_new))
+            if new_val <= val * (1.0 + 1e-14):
+                x, val = x_new, max(val, new_val)
+                break
+            x, val = x_new, new_val
+        if val > best_val:
+            best_val, best_x = val, x
+    if best_x is None:
+        best_x = dom.canonical_unit()
+        best_val = cod.norm(op.apply(best_x))
+    return OperatorNormResult(best_val, False, best_x, "ascent")
+
+
+ASCENT_DOMAINS = {
+    "lp1.5": LpSpace(3, 1.5), "lp3": LpSpace(3, 3.0),
+    "lp-inf": LpSpace(3, math.inf),
+    "lattice": LatticeSpace(LpLattice(3, 1.5)),
+    "lattice-weighted": LatticeSpace(WeightedL1Lattice([1.0, 2.0, 0.5])),
+    "plane-smooth": PlaneSpace(AbsoluteNorm2.lp(2.5)),
+    "plane-table": PlaneSpace(TABLE),
+    # nine coordinates: every start is a basis vector, so images stay real
+    "euclidean-complex": EuclideanSpace(9, "complex"),
+    "direct-sum": DirectSumSpace(
+        [EuclideanSpace(2), LpSpace(2, 3.0), PlaneSpace(TABLE)],
+        LpLattice(3, 2.0)),
+}
+ASCENT_CODOMAINS = {
+    "lp1": LpSpace(3, 1.0), "lp-inf": LpSpace(2, math.inf),
+    "lp1.5": LpSpace(3, 1.5), "euclidean": EuclideanSpace(3),
+    "direct-sum": DirectSumSpace([EuclideanSpace(2), PlaneSpace(TABLE)],
+                                 LpLattice(2, 3.0)),
+}
+
+
+def _assert_same_ascent(op):
+    want = _ascent_reference(op)
+    got = spaces._ascent_operator_norm(op)
+    assert (got.method, got.exact) == (want.method, want.exact)
+    assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+    assert op.domain.norm(got.witness) == pytest.approx(1.0, abs=1e-12)
+    assert op.codomain.norm(op.apply(got.witness)) == pytest.approx(
+        got.value, rel=1e-12, abs=0.0)
+    return got, want
+
+
+@pytest.mark.parametrize("cod", sorted(ASCENT_CODOMAINS))
+@pytest.mark.parametrize("dom", sorted(ASCENT_DOMAINS))
+def test_ascent_matches_per_start_loop(dom, cod):
+    X, Y = ASCENT_DOMAINS[dom], ASCENT_CODOMAINS[cod]
+    for seed in range(5):
+        mat = np.random.default_rng(seed).standard_normal((Y.dim, X.dim))
+        _assert_same_ascent(Operator(mat, X, Y))
+
+
+@pytest.mark.parametrize("cod", ["lp1", "lp-inf"])
+@pytest.mark.parametrize("dom", sorted(ASCENT_DOMAINS))
+def test_ascent_starts_that_stop_at_once(dom, cod):
+    X, Y = ASCENT_DOMAINS[dom], ASCENT_CODOMAINS[cod]
+    # the zero operator stops every start at iteration 0, and the first
+    # start wins
+    got, want = _assert_same_ascent(Operator(np.zeros((Y.dim, X.dim)), X, Y))
+    assert got.value == want.value == 0.0
+    np.testing.assert_array_equal(got.witness, want.witness)
+    # rank one with e_0 in the kernel: that start stops at iteration 0, the
+    # others reach |u| |v|_* in one step
+    u = np.linspace(1.0, -2.0, Y.dim)
+    v = np.linspace(0.0, 1.5, X.dim)
+    got, _ = _assert_same_ascent(Operator(np.outer(u, v), X, Y))
+    assert got.value == pytest.approx(Y.norm(u) * X.dual_norm(v), rel=1e-12)
+
+
+def test_ascent_complex_draws_into_a_real_codomain():
+    # random complex starts have complex images, which a real codomain
+    # refuses, one start at a time or batched
+    op = Operator(np.ones((3, 2)), EuclideanSpace(2, "complex"),
+                  LpSpace(3, 1.0))
+    with pytest.raises(RangeError):
+        _ascent_reference(op)
+    with pytest.raises(RangeError):
+        spaces._ascent_operator_norm(op)
+
+
+def test_ascent_uses_only_the_row_kernels():
+    X, Y = ASCENT_DOMAINS["direct-sum"], ASCENT_CODOMAINS["direct-sum"]
+    op = Operator(np.random.default_rng(4).standard_normal((Y.dim, X.dim)),
+                  X, Y)
+    want = _ascent_reference(op)
+    with ExitStack() as stack:
+        for space in (X, Y, *X.components, *Y.components):
+            for name in ("norm", "dual_norm", "norming_functional",
+                         "attaining_vector", "unit"):
+                stack.enter_context(mock.patch.object(
+                    space, name, side_effect=AssertionError(name)))
+        got = spaces._ascent_operator_norm(op)
+    assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
 
 
 def _per_row_convexity(space, eps, resolution):
@@ -605,6 +855,31 @@ class TestProfiles:
         rows = np.random.default_rng(3).standard_normal((20, Z.dim))
         np.testing.assert_array_equal(Z.norms(rows),
                                       Z.combiner.norms(Z.profiles(rows)))
+
+
+# under a sup-type combiner a zero block keeps a positive coefficient in
+# the dual-attaining vector, so its canonical unit shows in the result
+ZERO_BLOCK_SUMS = {
+    **SUMS,
+    "sup-sum": DirectSumSpace([EuclideanSpace(2), LpSpace(2, 1.5),
+                               PlaneSpace(TABLE)], LpLattice(3, math.inf)),
+    "linf-plane-sum": DirectSumSpace(
+        [LpSpace(2, 3.0), EuclideanSpace(1)],
+        Absolute2Lattice(AbsoluteNorm2.lp(math.inf))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_BLOCK_SUMS))
+def test_direct_sum_zero_blocks(name):
+    # a zero block takes the canonical unit's functional, or the canonical
+    # unit, exactly as the scalar twins do
+    Z = ZERO_BLOCK_SUMS[name]
+    rows = np.tile(np.linspace(-1.0, 2.0, Z.dim), (len(Z.components), 1))
+    for i, (lo, hi) in enumerate(zip(Z.offsets[:-1], Z.offsets[1:])):
+        rows[i, lo:hi] = 0.0
+    for kernel, scalar in DUAL_KERNELS.items():
+        _assert_same_rows(getattr(Z, kernel)(rows),
+                          [getattr(Z, scalar)(r) for r in rows], False)
 
 
 def _witness_ball_per_point(oracle, points, functional, epsilon):
