@@ -20,12 +20,11 @@ from .bpb import (BpbCorrection, BpbInstance, ConvexSeries, FilterResult,
                   default_component_oracle, filter_large_real_part,
                   verify_bpb_correction)
 from .certs import Certificate, all_passed, check, ensure, summarize
-from .errors import (BpbkitError, CaseSplitDegenerate, ConfigError,
-                     DegenerateInput, DimensionError, GenerationFailed,
-                     HypothesisError, InternalInvariantError, InvalidModulus,
-                     NotANorm, NotOnSphere, NotUniformlyConvex,
-                     NotUniformlyMonotone, OracleViolation, RangeError,
-                     WitnessSearchFailed)
+from .errors import (BpbkitError, ConfigError, DegenerateInput,
+                     DimensionError, GenerationFailed, HypothesisError,
+                     InternalInvariantError, InvalidModulus, NotANorm,
+                     NotOnSphere, NotUniformlyConvex, NotUniformlyMonotone,
+                     OracleViolation, RangeError, WitnessSearchFailed)
 from .harness import (Report, Scenario, TrialRecord, generate_instance,
                       run_scenario, scenario_from_json)
 from .lattice_sums import (LatticeSumPolicy, NormingElement,

@@ -163,6 +163,7 @@ class AbsoluteNorm2:
 
     def _precompute(self) -> None:
         if self.kind == "table":
+            self._node_u, self._node_psi = np.array(self.nodes).T
             verts = [((1.0 - u) / s, u / s) for u, s in self.nodes]
             self._vertices = verts
             self._facets = self._facet_functionals(verts)
@@ -182,6 +183,11 @@ class AbsoluteNorm2:
             self._vertices = None
             self._facets = None
             self._t_max = 0.0
+        # the vertex rows, and dual_pairs' candidates in lexicographic order
+        poly = self.is_polyhedral
+        self._vertex_rows = np.array(self._vertices) if poly else None
+        self._candidates = (np.array(sorted(self.support_candidates()))
+                            if poly else None)
 
     @staticmethod
     def _facet_functionals(verts: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -230,8 +236,7 @@ class AbsoluteNorm2:
         u = min(max(u, 0.0), 1.0)
         if self.kind == "lp":
             return _p_value(1.0 - u, u, self.p)
-        return float(np.interp(u, [n[0] for n in self.nodes],
-                               [n[1] for n in self.nodes]))
+        return float(np.interp(u, self._node_u, self._node_psi))
 
     def value(self, x) -> float:
         a, b = as_pair(x)
@@ -250,9 +255,8 @@ class AbsoluteNorm2:
         if self.kind == "lp":
             return _p_values(a, b, self.p)
         s = a + b
-        return s * np.interp(b / np.where(s == 0.0, 1.0, s),
-                             [n[0] for n in self.nodes],
-                             [n[1] for n in self.nodes])
+        return s * np.interp(b / np.where(s == 0.0, 1.0, s), self._node_u,
+                             self._node_psi)
 
     def dual_value(self, x) -> float:
         """Norm of a functional (c, d) acting as (a, b) -> c*a + d*b."""
@@ -269,7 +273,7 @@ class AbsoluteNorm2:
         c, d = arr[:, 0], arr[:, 1]
         if self.kind == "lp":
             return _p_values(c, d, dual_exponent(self.p))
-        v = np.array(self._vertices)
+        v = self._vertex_rows
         return (c[:, None] * v[:, 0] + d[:, None] * v[:, 1]).max(axis=1)
 
     def sphere_point(self, u: float) -> np.ndarray:
@@ -301,47 +305,29 @@ class AbsoluteNorm2:
         return out
 
     def dual_pair(self, x) -> np.ndarray:
-        """A functional of dual norm one attaining its norm at ``x``.
+        """:meth:`dual_pairs` of one pair."""
+        return self.dual_pairs(np.array([as_pair(x)]))[0]
+
+    def dual_pairs(self, rows) -> np.ndarray:
+        """For every row x of an ``(n, 2)`` array, a functional of dual norm
+        one attaining its norm at x.
 
         For smooth p-norms the functional is the unique one.  Otherwise ties
         are broken deterministically: among all extreme dual points of the
-        positive quadrant attaining the norm of ``|x|``, the lexicographically
-        smallest pair wins; signs then follow the signs of ``x``
-        (nonnegative on zero coordinates).
+        positive quadrant attaining the norm of ``|x|`` within 1e-9, the
+        lexicographically smallest pair wins; signs then follow the signs of
+        x (nonnegative on zero coordinates).  A zero row raises
+        :class:`DegenerateInput`.
         """
-        a, b = as_pair(x)
-        v = self.value((a, b))
-        if v == 0.0:
-            raise DegenerateInput("the zero vector has no supporting functional")
-        sa = 1.0 if a >= 0.0 else -1.0
-        sb = 1.0 if b >= 0.0 else -1.0
-        a_, b_ = abs(a), abs(b)
-        if self.is_smooth:
-            p = self.p
-            c = (a_ / v) ** (p - 1.0)
-            d = (b_ / v) ** (p - 1.0)
-        else:
-            attaining = [(c, d) for c, d in self.support_candidates()
-                         if c * a_ + d * b_ >= v * (1.0 - 1e-9)]
-            if not attaining:  # pragma: no cover - the scan always attains
-                raise DegenerateInput(f"no supporting functional found for {x}")
-            c, d = min(attaining)
-        return np.array([sa * c, sb * d])
-
-    def dual_pairs(self, rows) -> np.ndarray:
-        """:meth:`dual_pair` of every row of an ``(n, 2)`` array, with the
-        same tie rule: the candidates are scanned in lexicographic order and
-        the first one attaining the norm within 1e-9 wins.  A zero row
-        raises :class:`DegenerateInput`."""
         x = np.asarray(rows, dtype=float)
         arr = _abs_rows(x)
         v = self.values(arr)
-        if np.any(v == 0.0):
+        if (v == 0.0).any():
             raise DegenerateInput("the zero vector has no supporting functional")
         if self.is_smooth:
             out = (arr / v[:, None]) ** (self.p - 1.0)
         else:
-            cands = np.array(sorted(self.support_candidates()))
+            cands = self._candidates
             attains = (arr[:, :1] * cands[:, 0] + arr[:, 1:] * cands[:, 1]
                        >= (v * (1.0 - 1e-9))[:, None])
             if not attains.any(axis=1).all():  # pragma: no cover - always attains

@@ -35,9 +35,9 @@ import numpy as np
 from .absolute import AbsoluteNorm2, boundary_completion, lemma_fact_delta
 from .bpb import HYPOTHESIS_SLACK, ConvexSeries, filter_large_real_part
 from .certs import Certificate, check, ensure
-from .errors import (DimensionError, HypothesisError, InternalInvariantError,
-                     NotUniformlyConvex, OracleViolation, RangeError,
-                     WitnessSearchFailed)
+from .errors import (ConfigError, DimensionError, HypothesisError,
+                     InternalInvariantError, NotUniformlyConvex,
+                     OracleViolation, RangeError, WitnessSearchFailed)
 from .lattices import Absolute2Lattice
 from .moduli import convexity_modulus
 from .spaces import DirectSumSpace, LpSpace, NormedSpace, PlaneSpace
@@ -49,7 +49,7 @@ from .util import TOL_SPHERE
 #: checked at its stated bound.
 DIRECT_SUM_SLACK = 1e-8
 
-#: Floors for the direct-sum parameter block (set to 0 to disable).
+#: Floors for the direct-sum parameter block.
 AHSP_S_FLOOR = 1e-4
 AHSP_R_FLOOR = 1e-6
 
@@ -70,9 +70,6 @@ class AhspWitness:
     epsilon: float
     certificates: tuple[Certificate, ...] = field(default_factory=tuple)
 
-    def as_dict(self) -> dict[int, np.ndarray]:
-        return dict(zip(self.indices, self.points))
-
     def to_json(self) -> dict:
         from .spaces import _scalar_to_json
         return {
@@ -88,9 +85,14 @@ class AhspWitness:
 def witness_from_json(data: dict) -> AhspWitness:
     from .spaces import _scalar_from_json, space_from_json
     space = space_from_json(data["space"])
+    indices = list(data["indices"])
+    # int() would read 0.7 as 0 and true as 1: another witness than given
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+               for i in indices):
+        raise ConfigError(f"witness indices must be integers, got {indices}")
     return AhspWitness(
         space=space,
-        indices=tuple(int(i) for i in data["indices"]),
+        indices=tuple(int(i) for i in indices),
         points=tuple(
             space.coerce(np.array([_scalar_from_json(v) for v in p]))
             for p in data["points"]),
@@ -539,8 +541,7 @@ class EtaPolicy:
 
 
 def eta_policy(f: AbsoluteNorm2, oracle_M: AhspOracle, oracle_N: AhspOracle,
-               epsilon: float, s_floor: float = AHSP_S_FLOOR,
-               r_floor: float = AHSP_R_FLOOR) -> EtaPolicy:
+               epsilon: float) -> EtaPolicy:
     if not 0.0 < epsilon < 1.0:
         raise RangeError(f"epsilon must lie in (0, 1), got {epsilon}")
     epsilon1 = 0.9 * epsilon / 8.0
@@ -548,9 +549,9 @@ def eta_policy(f: AbsoluteNorm2, oracle_M: AhspOracle, oracle_N: AhspOracle,
     delta = min(lemma_fact_delta(f, epsilon / 5.0),
                 lemma_fact_delta(f.swapped(), epsilon / 5.0))
     raw_s = 0.9 * min(delta / 2.0, eta1 / 2.0)
-    s = min(max(raw_s, s_floor), 0.45)
+    s = min(max(raw_s, AHSP_S_FLOOR), 0.45)
     raw_r = 0.9 * min(delta / 2.0, s * s * eta1)
-    r = min(max(raw_r, r_floor), s)
+    r = min(max(raw_r, AHSP_R_FLOOR), s)
     epsilon0 = 0.9 * r * epsilon / 8.0
     eta0 = plane_ahsp_oracle(f).eta(epsilon0)
     return EtaPolicy(epsilon, epsilon1, eta1, delta, s, r, epsilon0, eta0,

@@ -36,9 +36,9 @@ from .spaces import (DirectSumSpace, EuclideanSpace, NormedSpace, Operator,
 #: Additive slack for floating-point hypothesis comparisons.
 HYPOTHESIS_SLACK = 1e-14
 
-#: Default parameter floors; honest cascade values collapse below float
-#: resolution for small eps, so pipelines run on floored parameters and the
-#: output certificates carry the truth.  Set to 0 to disable.
+#: Parameter floors; honest cascade values collapse below float resolution
+#: for small eps, so pipelines run on floored parameters and the output
+#: certificates carry the truth.
 S_FLOOR = 1e-4
 T_FLOOR = 1e-6
 
@@ -124,9 +124,8 @@ class ParameterCascade:
     t_floored: bool
 
 
-def cascade_l1sum(epsilon: float, eta_component, H: EuclideanSpace,
-                  s_floor: float = S_FLOOR,
-                  t_floor: float = T_FLOOR) -> ParameterCascade:
+def cascade_l1sum(epsilon: float, eta_component,
+                  H: EuclideanSpace) -> ParameterCascade:
     """Choose r, s, t at 0.9 times their binding bounds.
 
     ``r = 0.9 eps/4``; ``s = 0.9 min(eps/4, delta_H(r)/3)``;
@@ -139,12 +138,12 @@ def cascade_l1sum(epsilon: float, eta_component, H: EuclideanSpace,
     r = 0.9 * (epsilon / 4.0)
     delta = convexity_modulus(H, r)
     raw_s = 0.9 * min(epsilon / 4.0, delta / 3.0)
-    s = max(raw_s, s_floor)
+    s = max(raw_s, S_FLOOR)
     eta_s = eta_component(s)
     if eta_s <= 0.0:
         raise InvalidModulus(f"component modulus eta({s}) = {eta_s} is not positive")
     raw_t = 0.9 * min(epsilon / 4.0, eta_s, delta / 3.0)
-    t = max(raw_t, t_floor)
+    t = max(raw_t, T_FLOOR)
     return ParameterCascade(epsilon, r, s, t, raw_s, raw_t,
                             s > raw_s, t > raw_t)
 
@@ -293,9 +292,7 @@ class BpbCorrection:
 
 def correct_operator_l1sum(components: list[NormedSpace], H: EuclideanSpace,
                            T: Operator, z0, epsilon: float,
-                           component_oracle=None,
-                           s_floor: float = S_FLOOR,
-                           t_floor: float = T_FLOOR) -> BpbCorrection:
+                           component_oracle=None) -> BpbCorrection:
     """Run the full l1-sum correction pipeline.
 
     ``T`` must act from the unweighted l1-sum of ``components`` into the
@@ -318,7 +315,7 @@ def correct_operator_l1sum(components: list[NormedSpace], H: EuclideanSpace,
     oracles = [component_oracle or default_component_oracle(c)
                for c in Z.components]
     cascade = cascade_l1sum(epsilon, lambda s: min(o.eta(s) for o in oracles),
-                            H, s_floor=s_floor, t_floor=t_floor)
+                            H)
     r, s, t = cascade.r, cascade.s, cascade.t
 
     zv = Z.coerce(z0)

@@ -71,6 +71,3 @@ class GenerationFailed(BpbkitError):
 class InvalidModulus(BpbkitError):
     """A user-supplied modulus function produced a non-positive value."""
 
-
-class CaseSplitDegenerate(BpbkitError):
-    """Defensive: a case split reached a state the construction excludes."""

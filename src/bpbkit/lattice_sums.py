@@ -142,10 +142,10 @@ def duality_isometry_check(Z: DirectSumSpace, x_star,
 @dataclass(frozen=True)
 class NormingElement:
     """A dual-unit functional assembled blockwise from a lattice norming
-    functional, per-component norming functionals, and aligning scalars."""
+    functional and per-component norming functionals (the aligning scalars
+    of the construction are all one for real scalars)."""
 
     e_star: np.ndarray
-    lambdas: np.ndarray
     component_functionals: tuple[np.ndarray, ...]
     assembled: np.ndarray
     certificates: tuple[Certificate, ...] = field(default_factory=tuple)
@@ -183,9 +183,7 @@ def build_norming_element(Z: DirectSumSpace, z, epsilon: float) -> NormingElemen
         budget = epsilon / ((float(e_star[k]) + 1.0) * 2.0 ** (k + 1))
         slack_excess = max(slack_excess, gap - budget)
         funcs.append(fk)
-    lambdas = np.ones(len(funcs))
-    assembled = Z.embed([float(e_star[k]) * lambdas[k] * funcs[k]
-                         for k in range(len(funcs))])
+    assembled = Z.embed([float(e) * fk for e, fk in zip(e_star, funcs)])
     value = float(np.real(Z.pairing(assembled, zv)))
     certs = (
         check("norming-dual-unit", abs(Z.dual_norm(assembled) - 1.0), "<=",
@@ -194,7 +192,7 @@ def build_norming_element(Z: DirectSumSpace, z, epsilon: float) -> NormingElemen
         check("norming-value", value, ">", total - epsilon),
     )
     ensure(list(certs))
-    return NormingElement(e_star, lambdas, tuple(funcs), assembled, certs)
+    return NormingElement(e_star, tuple(funcs), assembled, certs)
 
 
 class NonnegAdditiveProfileOracle(AhspOracle):

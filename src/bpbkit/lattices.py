@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .absolute import AbsoluteNorm2, _p_value, _p_values, dual_exponent
+from .absolute import AbsoluteNorm2, _p_values, dual_exponent
 from .errors import DegenerateInput, DimensionError, RangeError
 
 
@@ -24,6 +24,17 @@ def _one_hot(dim: int, cols: np.ndarray, values) -> np.ndarray:
     out = np.zeros((len(cols), dim))
     out[np.arange(len(cols)), cols] = values
     return out
+
+
+def _lp_norms(mags: np.ndarray, p: float) -> np.ndarray:
+    """The p-norms of the rows of an ``(n, dim)`` array of magnitudes."""
+    if p == math.inf:
+        return mags.max(axis=1)
+    if p == 1.0:
+        return mags.sum(axis=1)
+    m = mags.max(axis=1)
+    scale = np.where(m == 0.0, 1.0, m)[:, None]
+    return m * ((mags / scale) ** p).sum(axis=1) ** (1.0 / p)
 
 
 class FiniteLattice(ABC):
@@ -58,34 +69,38 @@ class FiniteLattice(ABC):
         """Norm of the functional x -> sum_i c_i x_i."""
 
     @abstractmethod
-    def norming_of(self, x) -> np.ndarray:
-        """A functional of dual norm one with <c, x> = norm(x).
+    def dual_norms(self, rows) -> np.ndarray:
+        """:meth:`dual_norm_of` of every row of an ``(n, dim)`` array."""
+
+    # The two tie-rule operations have one kernel each, on the rows of an
+    # ``(n, dim)`` array; the one-vector methods are one-row views of them,
+    # written out in each class body.
+
+    @abstractmethod
+    def normings(self, rows) -> np.ndarray:
+        """For every row x, a functional c of dual norm one with
+        <c, x> = norm(x).
 
         Deterministic: when the supporting functional is not unique, the
         lexicographically smallest extreme point of the nonnegative section
         of the dual face wins (free coordinates are never driven negative).
-        Nonnegative whenever ``x`` is nonnegative.
+        Nonnegative on a nonnegative row.  A zero row raises
+        :class:`DegenerateInput`.
         """
 
     @abstractmethod
-    def dual_attaining_vector(self, c) -> np.ndarray:
-        """A nonnegative unit vector u with <|c|, u> = dual_norm(c)."""
-
-    # Row twins of the three dual operations: each maps an ``(n, dim)``
-    # array row by row, with its scalar twin's tie rule, and raises
-    # DegenerateInput when any row is one the scalar twin refuses.
-
-    @abstractmethod
-    def dual_norms(self, rows) -> np.ndarray:
-        """:meth:`dual_norm_of` of every row."""
-
-    @abstractmethod
-    def normings(self, rows) -> np.ndarray:
-        """:meth:`norming_of` of every row."""
-
-    @abstractmethod
     def dual_attaining_vectors(self, rows) -> np.ndarray:
-        """:meth:`dual_attaining_vector` of every row."""
+        """For every row c, a nonnegative unit vector u with
+        <|c|, u> = dual_norm(c).  A zero row raises
+        :class:`DegenerateInput`."""
+
+    @abstractmethod
+    def norming_of(self, x) -> np.ndarray:
+        """:meth:`normings` of one vector."""
+
+    @abstractmethod
+    def dual_attaining_vector(self, c) -> np.ndarray:
+        """:meth:`dual_attaining_vectors` of one vector."""
 
     @abstractmethod
     def to_params(self) -> dict:
@@ -109,6 +124,7 @@ class LpLattice(FiniteLattice):
             raise RangeError(f"exponent must satisfy p >= 1, got {p}")
         self.dim = int(dim)
         self.p = float(p)
+        self._q = dual_exponent(self.p)
 
     def norm_of(self, x) -> float:
         arr = np.abs(self._coerce(x))
@@ -122,84 +138,50 @@ class LpLattice(FiniteLattice):
         return m * float(((arr / m) ** self.p).sum()) ** (1.0 / self.p)
 
     def norms(self, rows) -> np.ndarray:
-        arr = np.abs(self._coerce_rows(rows))
-        if self.p == math.inf:
-            return arr.max(axis=1)
-        if self.p == 1.0:
-            return arr.sum(axis=1)
-        m = arr.max(axis=1)
-        scale = np.where(m == 0.0, 1.0, m)[:, None]
-        return m * ((arr / scale) ** self.p).sum(axis=1) ** (1.0 / self.p)
+        return _lp_norms(np.abs(self._coerce_rows(rows)), self.p)
 
     def dual_norm_of(self, c) -> float:
-        return LpLattice(self.dim, dual_exponent(self.p)).norm_of(c)
+        return LpLattice(self.dim, self._q).norm_of(c)
 
     def dual_norms(self, rows) -> np.ndarray:
-        return LpLattice(self.dim, dual_exponent(self.p)).norms(rows)
+        return _lp_norms(np.abs(self._coerce_rows(rows)), self._q)
 
     def norming_of(self, x) -> np.ndarray:
-        arr = self._coerce(x)
-        n = self.norm_of(arr)
-        if n == 0.0:
-            raise DegenerateInput("the zero vector has no supporting functional")
-        signs = np.where(arr >= 0.0, 1.0, -1.0)
-        if self.p == 1.0:
-            # Signs on the support; free coordinates stay at zero.
-            return np.where(arr != 0.0, signs, 0.0)
-        if self.p == math.inf:
-            mags = np.abs(arr)
-            ties = np.nonzero(mags == mags.max())[0]
-            neg = [j for j in ties if arr[j] < 0.0]
-            j = neg[0] if neg else int(ties[-1])
-            out = np.zeros(self.dim)
-            out[j] = signs[j]
-            return out
-        return signs * (np.abs(arr) / n) ** (self.p - 1.0)
+        return self.normings(self._coerce(x)[None])[0]
 
     def dual_attaining_vector(self, c) -> np.ndarray:
-        arr = np.abs(self._coerce(c))
-        dn = self.dual_norm_of(arr)
-        if dn == 0.0:
-            raise DegenerateInput("the zero functional attains nowhere on the sphere")
-        if self.p == 1.0:
-            j = int(np.argmax(arr))
-            out = np.zeros(self.dim)
-            out[j] = 1.0
-            return out
-        if self.p == math.inf:
-            return np.ones(self.dim)
-        q = dual_exponent(self.p)
-        u = (arr / dn) ** (q - 1.0)
-        return u / self.norm_of(u)
+        return self.dual_attaining_vectors(self._coerce(c)[None])[0]
 
     def normings(self, rows) -> np.ndarray:
         arr = self._coerce_rows(rows)
-        n = self.norms(arr)
-        if np.any(n == 0.0):
+        mags = np.abs(arr)
+        n = _lp_norms(mags, self.p)
+        if (n == 0.0).any():
             raise DegenerateInput("the zero vector has no supporting functional")
         signs = np.where(arr >= 0.0, 1.0, -1.0)
         if self.p == 1.0:
+            # signs on the support; free coordinates stay at zero
             return np.where(arr != 0.0, signs, 0.0)
         if self.p == math.inf:
             # the first negative maximal coordinate, else the last maximal one
-            ties = np.abs(arr) == n[:, None]
+            ties = mags == n[:, None]
             neg = ties & (arr < 0.0)
             j = np.where(neg.any(axis=1), neg.argmax(axis=1),
                          self.dim - 1 - ties[:, ::-1].argmax(axis=1))
             return _one_hot(self.dim, j, signs[np.arange(len(arr)), j])
-        return signs * (np.abs(arr) / n[:, None]) ** (self.p - 1.0)
+        return signs * (mags / n[:, None]) ** (self.p - 1.0)
 
     def dual_attaining_vectors(self, rows) -> np.ndarray:
         arr = np.abs(self._coerce_rows(rows))
-        dn = self.dual_norms(arr)
-        if np.any(dn == 0.0):
+        dn = _lp_norms(arr, self._q)
+        if (dn == 0.0).any():
             raise DegenerateInput("the zero functional attains nowhere on the sphere")
         if self.p == 1.0:
             return _one_hot(self.dim, arr.argmax(axis=1), 1.0)
         if self.p == math.inf:
             return np.ones_like(arr)
-        u = (arr / dn[:, None]) ** (dual_exponent(self.p) - 1.0)
-        return u / self.norms(u)[:, None]
+        u = (arr / dn[:, None]) ** (self._q - 1.0)
+        return u / _lp_norms(u, self.p)[:, None]
 
     def to_params(self) -> dict:
         return {"kind": "lp", "dim": self.dim,
@@ -236,34 +218,24 @@ class WeightedL1Lattice(FiniteLattice):
         return float(np.max(np.abs(self._coerce(c)) / self.weights))
 
     def norming_of(self, x) -> np.ndarray:
-        arr = self._coerce(x)
-        if self.norm_of(arr) == 0.0:
-            raise DegenerateInput("the zero vector has no supporting functional")
-        signs = np.where(arr > 0.0, 1.0, np.where(arr < 0.0, -1.0, 0.0))
-        return signs * self.weights
+        return self.normings(self._coerce(x)[None])[0]
 
     def dual_attaining_vector(self, c) -> np.ndarray:
-        arr = np.abs(self._coerce(c))
-        if np.all(arr == 0.0):
-            raise DegenerateInput("the zero functional attains nowhere on the sphere")
-        j = int(np.argmax(arr / self.weights))
-        out = np.zeros(self.dim)
-        out[j] = 1.0 / self.weights[j]
-        return out
+        return self.dual_attaining_vectors(self._coerce(c)[None])[0]
 
     def dual_norms(self, rows) -> np.ndarray:
         return (np.abs(self._coerce_rows(rows)) / self.weights).max(axis=1)
 
     def normings(self, rows) -> np.ndarray:
         arr = self._coerce_rows(rows)
-        if np.any(self.norms(arr) == 0.0):
+        if (self.norms(arr) == 0.0).any():
             raise DegenerateInput("the zero vector has no supporting functional")
         signs = np.where(arr > 0.0, 1.0, np.where(arr < 0.0, -1.0, 0.0))
         return signs * self.weights
 
     def dual_attaining_vectors(self, rows) -> np.ndarray:
         arr = np.abs(self._coerce_rows(rows))
-        if np.any((arr == 0.0).all(axis=1)):
+        if (arr == 0.0).all(axis=1).any():
             raise DegenerateInput("the zero functional attains nowhere on the sphere")
         j = (arr / self.weights).argmax(axis=1)
         return _one_hot(self.dim, j, 1.0 / self.weights[j])
@@ -292,23 +264,10 @@ class Absolute2Lattice(FiniteLattice):
         return self.norm2.dual_value(self._coerce(c))
 
     def norming_of(self, x) -> np.ndarray:
-        return self.norm2.dual_pair(self._coerce(x))
+        return self.normings(self._coerce(x)[None])[0]
 
     def dual_attaining_vector(self, c) -> np.ndarray:
-        arr = np.abs(self._coerce(c))
-        dn = self.dual_norm_of(arr)
-        if dn == 0.0:
-            raise DegenerateInput("the zero functional attains nowhere on the sphere")
-        if self.norm2.is_polyhedral:
-            verts = self.norm2._vertices
-            vals = [arr[0] * vx + arr[1] * vy for vx, vy in verts]
-            j = int(np.argmax(vals))
-            return np.array(verts[j])
-        # Smooth p-norm: dual attainment by the conjugate-exponent power map.
-        p = self.norm2.p
-        q = dual_exponent(p)
-        u = (arr / dn) ** (q - 1.0)
-        return u / _p_value(u[0], u[1], p)
+        return self.dual_attaining_vectors(self._coerce(c)[None])[0]
 
     def dual_norms(self, rows) -> np.ndarray:
         return self.norm2.dual_values(self._coerce_rows(rows))
@@ -319,12 +278,13 @@ class Absolute2Lattice(FiniteLattice):
     def dual_attaining_vectors(self, rows) -> np.ndarray:
         arr = np.abs(self._coerce_rows(rows))
         dn = self.dual_norms(arr)
-        if np.any(dn == 0.0):
+        if (dn == 0.0).any():
             raise DegenerateInput("the zero functional attains nowhere on the sphere")
         if self.norm2.is_polyhedral:
-            verts = np.array(self.norm2._vertices)
+            verts = self.norm2._vertex_rows
             vals = arr[:, :1] * verts[:, 0] + arr[:, 1:] * verts[:, 1]
             return verts[vals.argmax(axis=1)]
+        # smooth p-norm: the conjugate-exponent power map
         p = self.norm2.p
         u = (arr / dn[:, None]) ** (dual_exponent(p) - 1.0)
         return u / _p_values(u[:, 0], u[:, 1], p)[:, None]

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (NotUniformlyConvex, NotUniformlyMonotone, RangeError)
 from .lattices import (Absolute2Lattice, FiniteLattice, LpLattice,
                        WeightedL1Lattice)
-from .spaces import LatticeSpace, NormedSpace
+from .spaces import LatticeSpace, LpSpace, NormedSpace, PlaneSpace
 
 _ALPHA_FLOOR = 1e-9
 
@@ -233,12 +233,8 @@ def monotonicity_modulus(E, epsilon: float) -> float:
         raise RangeError(f"epsilon must lie in (0, 1), got {epsilon}")
     if isinstance(E, FiniteLattice):
         lattice = E
-    elif isinstance(E, LatticeSpace):
+    elif isinstance(E, (LpSpace, PlaneSpace, LatticeSpace)):
         lattice = E.lattice
-    elif getattr(E, "kind", None) == "lp":
-        lattice = LpLattice(E.dim, E.p)
-    elif getattr(E, "kind", None) == "absolute2":
-        lattice = Absolute2Lattice(E.generator)
     else:
         raise RangeError(f"expected a finite lattice, got {type(E).__name__}")
     worst = 0.0

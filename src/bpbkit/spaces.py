@@ -5,7 +5,7 @@ Five norm kinds are provided: ``euclidean`` (real or complex), ``lp``,
 ``lattice`` (R^n under a monotone 1-unconditional norm), and ``direct_sum``
 (blocks combined by applying a lattice norm to the tuple of block norms).
 Complex scalars are supported by the euclidean kind only; every other kind is
-real.
+real, and an operator from a complex domain needs a complex codomain.
 
 Functionals are stored as coordinate vectors acting through the bilinear
 pairing ``f(x) = sum_i f_i x_i`` (no conjugation), so for a complex euclidean
@@ -13,16 +13,19 @@ space the norming functional of ``x`` is ``conj(x)/|x|``.
 
 Norming functionals and dual-attaining vectors are exact on every kind:
 closed forms for euclidean/lp, vertex enumeration for polyhedral generators,
-and the lattice-of-block-norms pairing for direct sums.  Every kind has a
-scalar method and a row twin for each operation: ``norm``/``norms``,
-``dual_norm``/``dual_norms``, ``norming_functional``/``norming_functionals``
-and ``attaining_vector``/``attaining_vectors``.  A row twin maps the rows of
-an ``(n, dim)`` array with the scalar method's tie rules.  ``operator_norm``
+and the lattice-of-block-norms pairing for direct sums.  Every operation
+has a row kernel on ``(n, dim)`` arrays (``norms``, ``dual_norms``,
+``norming_functionals``, ``attaining_vectors``), and each tie rule lives
+only in a row kernel: the one-vector ``norming_functional`` and
+``attaining_vector`` of the lattice-backed kinds, and
+``DirectSumSpace.norming_functional``, are one-row views.  ``norm``,
+``dual_norm``, the tie-free euclidean methods and
+``DirectSumSpace.attaining_vector`` keep scalar bodies.  ``operator_norm``
 has exact paths (one-dimensional domains, l1-like domains by column or block
 maxima, euclidean-to-euclidean by largest singular value) and otherwise
 returns a certified lower bound from multi-start duality-mapping ascent,
 flagged as nonexact; the ascent advances all its starts as one row array
-through the row twins.
+through the row kernels.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .absolute import AbsoluteNorm2, dual_exponent
+from .absolute import AbsoluteNorm2
 from .errors import (ConfigError, DegenerateInput, DimensionError, NotOnSphere,
                      RangeError)
 from .lattices import (Absolute2Lattice, FiniteLattice, LpLattice,
@@ -96,19 +99,15 @@ class NormedSpace(ABC):
 
     @abstractmethod
     def norming_functional(self, x) -> np.ndarray:
-        """Coordinates of f with dual_norm(f) = 1 and Re f(x) = norm(x).
-
-        Ties are broken deterministically (lexicographically smallest extreme
-        point of the nonnegative section of the dual face).
-        """
+        """:meth:`norming_functionals` of one vector."""
 
     @abstractmethod
     def attaining_vector(self, f) -> np.ndarray:
-        """A unit vector x with Re f(x) = dual_norm(f)."""
+        """:meth:`attaining_vectors` of one functional."""
 
-    # Row twins of the three dual operations: each maps the rows of an
-    # ``(n, dim)`` array, coerced once, with its scalar twin's tie rule, and
-    # raises DegenerateInput when any row is one the scalar twin refuses.
+    # Row kernels of the three dual operations: each maps the rows of an
+    # ``(n, dim)`` array, coerced once; the last two raise DegenerateInput
+    # when any row is zero.
 
     @abstractmethod
     def dual_norms(self, rows) -> np.ndarray:
@@ -116,11 +115,16 @@ class NormedSpace(ABC):
 
     @abstractmethod
     def norming_functionals(self, rows) -> np.ndarray:
-        """:meth:`norming_functional` of every row."""
+        """For every row x, the coordinates of a functional f with
+        dual_norm(f) = 1 and Re f(x) = norm(x).
+
+        Ties are broken deterministically (lexicographically smallest extreme
+        point of the nonnegative section of the dual face).
+        """
 
     @abstractmethod
     def attaining_vectors(self, rows) -> np.ndarray:
-        """:meth:`attaining_vector` of every row."""
+        """For every row f, a unit vector x with Re f(x) = dual_norm(f)."""
 
     @abstractmethod
     def _params(self) -> dict:
@@ -195,7 +199,7 @@ class EuclideanSpace(NormedSpace):
     def norming_functionals(self, rows) -> np.ndarray:
         arr = self.coerce_rows(rows)
         n = np.linalg.norm(arr, axis=1)
-        if np.any(n == 0.0):
+        if (n == 0.0).any():
             raise DegenerateInput("the zero vector has no norming functional")
         return np.conj(arr) / n[:, None]
 
@@ -209,7 +213,7 @@ class EuclideanSpace(NormedSpace):
     def attaining_vectors(self, rows) -> np.ndarray:
         arr = self.coerce_rows(rows)
         n = np.linalg.norm(arr, axis=1)
-        if np.any(n == 0.0):
+        if (n == 0.0).any():
             raise DegenerateInput("the zero functional attains nowhere on the sphere")
         return np.conj(arr) / n[:, None]
 
@@ -238,34 +242,34 @@ class LpSpace(NormedSpace):
     scalar_field = "real"
 
     def __init__(self, dim: int, p: float):
-        self._lat = LpLattice(dim, p)
-        self.dim = self._lat.dim
-        self.p = self._lat.p
+        self.lattice = LpLattice(dim, p)
+        self.dim = self.lattice.dim
+        self.p = self.lattice.p
 
     def norm(self, x) -> float:
-        return self._lat.norm_of(self.coerce(x))
+        return self.lattice.norm_of(self.coerce(x))
 
     def norms(self, rows) -> np.ndarray:
-        return self._lat.norms(self.coerce_rows(rows))
+        return self.lattice.norms(self.coerce_rows(rows))
 
     def dual_norm(self, f) -> float:
-        return self._lat.dual_norm_of(self.coerce(f))
+        return self.lattice.dual_norm_of(self.coerce(f))
 
     def dual_norms(self, rows) -> np.ndarray:
-        return self._lat.dual_norms(self.coerce_rows(rows))
+        return self.lattice.dual_norms(self.coerce_rows(rows))
 
     def norming_functional(self, x) -> np.ndarray:
-        return self._lat.norming_of(self.coerce(x))
+        return self.lattice.norming_of(self.coerce(x))
 
     def norming_functionals(self, rows) -> np.ndarray:
-        return self._lat.normings(self.coerce_rows(rows))
+        return self.lattice.normings(self.coerce_rows(rows))
 
     def attaining_vector(self, f) -> np.ndarray:
-        return _signed_attaining(self._lat.dual_attaining_vector,
+        return _signed_attaining(self.lattice.dual_attaining_vector,
                                  self.coerce(f))
 
     def attaining_vectors(self, rows) -> np.ndarray:
-        return _signed_attaining(self._lat.dual_attaining_vectors,
+        return _signed_attaining(self.lattice.dual_attaining_vectors,
                                  self.coerce_rows(rows))
 
     def _params(self) -> dict:
@@ -281,7 +285,7 @@ class PlaneSpace(NormedSpace):
 
     def __init__(self, generator: AbsoluteNorm2):
         self.generator = generator
-        self._lat = Absolute2Lattice(generator)
+        self.lattice = Absolute2Lattice(generator)
 
     def norm(self, x) -> float:
         return self.generator.value(self.coerce(x))
@@ -302,11 +306,11 @@ class PlaneSpace(NormedSpace):
         return self.generator.dual_pairs(self.coerce_rows(rows))
 
     def attaining_vector(self, f) -> np.ndarray:
-        return _signed_attaining(self._lat.dual_attaining_vector,
+        return _signed_attaining(self.lattice.dual_attaining_vector,
                                  self.coerce(f))
 
     def attaining_vectors(self, rows) -> np.ndarray:
-        return _signed_attaining(self._lat.dual_attaining_vectors,
+        return _signed_attaining(self.lattice.dual_attaining_vectors,
                                  self.coerce_rows(rows))
 
     def _params(self) -> dict:
@@ -432,32 +436,22 @@ class DirectSumSpace(NormedSpace):
         return self.combiner.dual_norms(self.dual_profiles(rows))
 
     def norming_functional(self, x) -> np.ndarray:
-        prof = self.profile(x)
-        if self.combiner.norm_of(prof) == 0.0:
-            raise DegenerateInput("the zero vector has no norming functional")
-        estar = self.combiner.norming_of(prof)
-        blocks = []
-        for comp, b in zip(self.components, self.split(x)):
-            if comp.norm(b) > 0.0:
-                blocks.append(comp.norming_functional(b))
-            else:
-                blocks.append(comp.norming_functional(comp.canonical_unit()))
-        return np.concatenate([e * blk for e, blk in zip(estar, blocks)])
+        return self.norming_functionals(self.coerce(x)[None])[0]
 
     def norming_functionals(self, rows) -> np.ndarray:
+        """Block i of row x is ``e*_i`` times the component's norming
+        functional of the block, where e* norms x's block-norm profile; it is
+        zero on a zero block, which keeps the dual norm one (the Köthe dual
+        norm is monotone)."""
         arr = self.coerce_rows(rows)
         prof = self.profiles(arr)
         estar = self.combiner.normings(prof)  # raises on a zero row
-        out = np.empty_like(arr)
+        out = np.zeros_like(arr)
         for i, (comp, lo, hi) in enumerate(zip(
                 self.components, self.offsets[:-1], self.offsets[1:])):
             live = prof[:, i] > 0.0
-            blocks = np.empty((len(arr), hi - lo))
-            blocks[live] = comp.norming_functionals(arr[live, lo:hi])
-            if not live.all():  # a zero block: the canonical unit's functional
-                blocks[~live] = comp.norming_functionals(
-                    comp.canonical_unit()[None])[0]
-            out[:, lo:hi] = estar[:, i:i + 1] * blocks
+            out[live, lo:hi] = (estar[live, i:i + 1]
+                                * comp.norming_functionals(arr[live, lo:hi]))
         return out
 
     def attaining_vector(self, f) -> np.ndarray:
@@ -580,10 +574,11 @@ class Operator:
             raise DimensionError(
                 f"matrix shape {mat.shape} does not match spaces "
                 f"({self.codomain.dim} x {self.domain.dim})")
-        dtype = (np.complex128 if "complex" in (self.domain.scalar_field,
-                                                self.codomain.scalar_field)
-                 else np.float64)
-        self.matrix = mat.astype(dtype)
+        field = self.codomain.scalar_field
+        if field == "real" and self.domain.scalar_field == "complex":
+            raise RangeError("a complex domain needs a complex codomain")
+        self.matrix = mat.astype(np.complex128 if field == "complex"
+                                 else np.float64)
 
     def apply(self, x) -> np.ndarray:
         return self.matrix @ self.domain.coerce(x)

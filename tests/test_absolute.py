@@ -120,6 +120,14 @@ class TestDualPair:
     def test_max_norm_tie_resolution(self):
         np.testing.assert_allclose(dual_pair(LINF, (1.0, 0.5)), [1.0, 0.0], atol=1e-12)
 
+    def test_vertex_ties_take_the_smallest_candidate(self):
+        # at a sphere vertex several extreme dual points attain: the
+        # lexicographically smallest wins, with the signs of x (+ on zeros)
+        np.testing.assert_array_equal(LINF.dual_pair((1.0, 1.0)), [0.0, 1.0])
+        np.testing.assert_array_equal(L1.dual_pair((0.0, -1.0)), [0.0, -1.0])
+        np.testing.assert_allclose(TABLE.dual_pair((-0.55, 0.55)),
+                                   [-9.0 / 11.0, 1.0], rtol=1e-12)
+
     @given(u=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     @settings(max_examples=40)
     def test_dual_attains_and_never_exceeds_one(self, u):

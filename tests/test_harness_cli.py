@@ -310,6 +310,17 @@ class TestCliMalformedFields:
             ["verify", "--witness", "{a}", "--instance", "{b}"],
             {"a": witness_without_indices(),
              "b": {"weights": [1.0], "points": [[1.0, 0.0]]}}),
+        # int() once read 0.7 as index 0 and true as index 1, so another
+        # witness than the file's was verified
+        "verify-witness-fractional-index": (
+            ["ahsp-verify", "--witness", "{a}", "--instance", "{b}"],
+            {"a": {**witness_without_indices(), "indices": [0.7]},
+             "b": {"weights": [1.0], "points": [[1.0, 0.0]]}}),
+        "verify-witness-boolean-index": (
+            ["ahsp-verify", "--witness", "{a}", "--instance", "{b}"],
+            {"a": {**witness_without_indices(), "indices": [True]},
+             "b": {"weights": [0.5, 0.5], "points": [[1.0, 0.0],
+                                                     [1.0, 0.0]]}}),
         "restrict-witness-no-indices": (
             ["ahsp-restrict", "--witness", "{a}", "--component", "0"],
             {"a": witness_without_indices()}),

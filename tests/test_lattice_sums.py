@@ -149,7 +149,6 @@ class TestNormingElement:
         z = np.array([0.3, 0.4, 0.0, 0.5])  # block norms (0.5, 0.5)
         ne = build_norming_element(Z, z, 0.01)
         np.testing.assert_allclose(ne.e_star, [1.0, 1.0])
-        np.testing.assert_allclose(ne.lambdas, [1.0, 1.0])
         np.testing.assert_allclose(ne.assembled, [0.6, 0.8, 0.0, 1.0], atol=1e-12)
         assert Z.dual_norm(ne.assembled) == pytest.approx(1.0, abs=TOL_SPHERE)
         assert float(Z.pairing(ne.assembled, z)) == pytest.approx(1.0, abs=1e-12)

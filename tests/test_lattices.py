@@ -141,6 +141,19 @@ class TestDualAttainingVectors:
             [0.0, 0.0, 2.0],
         )
 
+    def test_ties_take_the_first_maximum(self):
+        # several coordinates or plane vertices attain |c|: the first wins
+        np.testing.assert_array_equal(
+            LpLattice(3, 1.0).dual_attaining_vector([2.0, -2.0, 1.0]),
+            [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(
+            WeightedL1Lattice([1.0, 2.0]).dual_attaining_vector([1.0, 2.0]),
+            [1.0, 0.0])
+        for p, c in ((1.0, [2.0, -2.0]), (math.inf, [1.0, 0.0])):
+            lat = Absolute2Lattice(AbsoluteNorm2.lp(p))
+            np.testing.assert_array_equal(lat.dual_attaining_vector(c),
+                                          [1.0, 0.0])
+
     @given(c=VECTOR3)
     @settings(max_examples=60)
     def test_attains_the_dual_norm_on_the_cone(self, c):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpbkit.absolute import AbsoluteNorm2
+from bpbkit.absolute import AbsoluteNorm2, validate_absolute_norm
 from bpbkit.errors import ConfigError, DegenerateInput, DimensionError, NotOnSphere
 from bpbkit.lattices import Absolute2Lattice, LpLattice, WeightedL1Lattice
 from bpbkit.spaces import (
@@ -118,6 +118,24 @@ class TestDirectSum:
         # Block dual norms assemble to a combiner-dual-unit profile.
         dp = self.space.dual_profile(f)
         assert self.space.combiner.dual_norm_of(dp) == pytest.approx(1.0, abs=1e-9)
+
+    def test_norming_functional_is_zero_on_a_zero_block(self):
+        # a valid table whose supporting functional at the profile (1, 0) is
+        # (1 - 2e-11, 0.2): e*_2 = 0.2 on the zero block, so a zero block
+        # that took the canonical unit's functional showed 0.2 there
+        table = AbsoluteNorm2.from_table(
+            [(0.0, 1.0), (1e-10, 1.0 - 1e-10 + 1e-19), (0.5, 0.6),
+             (1.0, 1.0)])
+        assert validate_absolute_norm(table).ok
+        Z = DirectSumSpace([EuclideanSpace(2), LpSpace(2, 3.0)],
+                           Absolute2Lattice(table))
+        x = np.array([0.6, 0.8, 0.0, 0.0])
+        assert Z.combiner.norming_of(Z.profile(x))[1] == pytest.approx(0.2)
+        f = Z.norming_functional(x)
+        np.testing.assert_array_equal(f[2:], [0.0, 0.0])
+        np.testing.assert_array_equal(Z.norming_functionals(x[None])[0], f)
+        assert Z.dual_norm(f) == pytest.approx(1.0, abs=1e-9)
+        assert f @ x == pytest.approx(Z.norm(x), abs=1e-9)
 
     def test_max_combiner(self):
         sup = DirectSumSpace(
