@@ -165,29 +165,28 @@ class AbsoluteNorm2:
         if self.kind == "table":
             self._node_u, self._node_psi = np.array(self.nodes).T
             verts = [((1.0 - u) / s, u / s) for u, s in self.nodes]
-            self._vertices = verts
+            self._vertices = np.array(verts)
             self._facets = self._facet_functionals(verts)
             # largest first coordinate on the sphere at height one; empty
             # only for non-normalized tables, which validation reports
             tops = [x for x, y in verts if y >= 1.0 - 1e-12]
             self._t_max = max(tops) if tops else 0.0
         elif self.p == 1.0:
-            self._vertices = [(1.0, 0.0), (0.0, 1.0)]
+            self._vertices = np.array([(1.0, 0.0), (0.0, 1.0)])
             self._facets = [(1.0, 1.0)]
             self._t_max = 0.0
         elif self.p == math.inf:
-            self._vertices = [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+            self._vertices = np.array([(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
             self._facets = [(1.0, 0.0), (0.0, 1.0)]
             self._t_max = 1.0
         else:
             self._vertices = None
             self._facets = None
             self._t_max = 0.0
-        # the vertex rows, and dual_pairs' candidates in lexicographic order
-        poly = self.is_polyhedral
-        self._vertex_rows = np.array(self._vertices) if poly else None
+        # dual_pairs' tie rule scans the candidates in lexicographic order;
+        # support_candidates lists them in sweep order
         self._candidates = (np.array(sorted(self.support_candidates()))
-                            if poly else None)
+                            if self.is_polyhedral else None)
 
     @staticmethod
     def _facet_functionals(verts: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -222,7 +221,7 @@ class AbsoluteNorm2:
         swept from (1, 0) to (0, 1) (polyhedral generators only)."""
         if not self.is_polyhedral:
             raise RangeError("vertices exist only for polyhedral generators")
-        return tuple(self._vertices)
+        return tuple(map(tuple, self._vertices.tolist()))
 
     @property
     def normalized(self) -> bool:
@@ -264,7 +263,7 @@ class AbsoluteNorm2:
         c, d = abs(c), abs(d)
         if self.kind == "lp":
             return _p_value(c, d, dual_exponent(self.p))
-        return max(c * vx + d * vy for vx, vy in self._vertices)
+        return max(c * vx + d * vy for vx, vy in self._vertices.tolist())
 
     def dual_values(self, rows) -> np.ndarray:
         """:meth:`dual_value` of every row of an ``(n, 2)`` array, in one
@@ -273,7 +272,7 @@ class AbsoluteNorm2:
         c, d = arr[:, 0], arr[:, 1]
         if self.kind == "lp":
             return _p_values(c, d, dual_exponent(self.p))
-        v = self._vertex_rows
+        v = self._vertices
         return (c[:, None] * v[:, 0] + d[:, None] * v[:, 1]).max(axis=1)
 
     def sphere_point(self, u: float) -> np.ndarray:
@@ -356,7 +355,7 @@ class AbsoluteNorm2:
             raise RangeError("face gaps exist only for polyhedral generators")
         gaps = []
         for c, d in self.support_candidates():
-            for vx, vy in self._vertices:
+            for vx, vy in self._vertices.tolist():
                 val = c * vx + d * vy
                 if val < 1.0 - 1e-9:
                     gaps.append(1.0 - val)
@@ -373,7 +372,7 @@ class AbsoluteNorm2:
                 return 0.0
             return (1.0 - cut ** self.p) ** (1.0 / self.p)
         worst = None
-        verts = self._vertices
+        verts = self._vertices.tolist()
         for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
             for x, y in ((x0, y0), (x1, y1)):
                 if x >= cut - 1e-15:

@@ -157,32 +157,22 @@ def build_norming_element(Z: DirectSumSpace, z, epsilon: float) -> NormingElemen
 
     ``e*`` norms the block-norm profile in the Köthe dual; each nonzero
     block contributes its exact norming functional (within the per-index
-    slack ``epsilon / ((e*_k + 1) 2^k)``), zero blocks the norming
-    functional of the component's canonical direction; the aligning
-    scalars are trivial for real scalars.
+    slack ``epsilon / ((e*_k + 1) 2^k)``) and each zero block the zero
+    functional, both from :meth:`DirectSumSpace.block_normings`; the
+    aligning scalars are trivial for real scalars.
     """
     if epsilon <= 0.0:
         raise RangeError(f"epsilon must be positive, got {epsilon}")
     zv = Z.coerce(z)
-    prof = Z.profile(zv)
+    # a zero vector raises DegenerateInput in the combiner's normings
+    prof, e_star, funcs = (a[0] for a in Z.block_normings(zv[None]))
     total = Z.combiner.norm_of(prof)
-    if total == 0.0:
-        raise DegenerateInput("the zero vector has no norming element")
-    e_star = Z.combiner.norming_of(prof)
-    blocks = Z.split(zv)
-    funcs = []
+    funcs = Z.split(funcs)
     slack_excess = -math.inf
-    for k, (comp, b) in enumerate(zip(Z.components, blocks)):
-        bn = comp.norm(b)
-        if bn > 0.0:
-            fk = comp.norming_functional(b)
-            gap = bn - float(np.real(comp.pairing(fk, b)))
-        else:
-            fk = comp.norming_functional(comp.canonical_unit())
-            gap = 0.0
+    for k, (comp, b, fk) in enumerate(zip(Z.components, Z.split(zv), funcs)):
+        gap = prof[k] - float(np.real(comp.pairing(fk, b)))
         budget = epsilon / ((float(e_star[k]) + 1.0) * 2.0 ** (k + 1))
         slack_excess = max(slack_excess, gap - budget)
-        funcs.append(fk)
     assembled = Z.embed([float(e) * fk for e, fk in zip(e_star, funcs)])
     value = float(np.real(Z.pairing(assembled, zv)))
     certs = (

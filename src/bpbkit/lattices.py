@@ -281,7 +281,7 @@ class Absolute2Lattice(FiniteLattice):
         if (dn == 0.0).any():
             raise DegenerateInput("the zero functional attains nowhere on the sphere")
         if self.norm2.is_polyhedral:
-            verts = self.norm2._vertex_rows
+            verts = self.norm2._vertices
             vals = arr[:, :1] * verts[:, 0] + arr[:, 1:] * verts[:, 1]
             return verts[vals.argmax(axis=1)]
         # smooth p-norm: the conjugate-exponent power map

@@ -17,15 +17,13 @@ and the lattice-of-block-norms pairing for direct sums.  Every operation
 has a row kernel on ``(n, dim)`` arrays (``norms``, ``dual_norms``,
 ``norming_functionals``, ``attaining_vectors``), and each tie rule lives
 only in a row kernel: the one-vector ``norming_functional`` and
-``attaining_vector`` of the lattice-backed kinds, and
-``DirectSumSpace.norming_functional``, are one-row views.  ``norm``,
-``dual_norm``, the tie-free euclidean methods and
-``DirectSumSpace.attaining_vector`` keep scalar bodies.  ``operator_norm``
-has exact paths (one-dimensional domains, l1-like domains by column or block
-maxima, euclidean-to-euclidean by largest singular value) and otherwise
-returns a certified lower bound from multi-start duality-mapping ascent,
-flagged as nonexact; the ascent advances all its starts as one row array
-through the row kernels.
+``attaining_vector`` of the lattice-backed kinds and of direct sums are
+one-row views.  ``norm``, ``dual_norm`` and the tie-free euclidean methods
+keep scalar bodies.  ``operator_norm`` has exact paths (one-dimensional
+domains, l1-like domains by column or block maxima, euclidean-to-euclidean
+by largest singular value) and otherwise returns a certified lower bound
+from multi-start duality-mapping ascent, flagged as nonexact; the ascent
+advances all its starts as one row array through the row kernels.
 """
 
 from __future__ import annotations
@@ -405,9 +403,11 @@ class DirectSumSpace(NormedSpace):
         """The ``(n, m)`` block norms of the rows of an ``(n, dim)`` array:
         each component's ``norms`` on its column slice."""
         arr = self.coerce_rows(rows)
-        return np.column_stack([
-            comp.norms(arr[:, lo:hi]) for comp, lo, hi
-            in zip(self.components, self.offsets[:-1], self.offsets[1:])])
+        out = np.empty((len(arr), len(self.components)))
+        for i, (comp, lo, hi) in enumerate(zip(
+                self.components, self.offsets[:-1], self.offsets[1:])):
+            out[:, i] = comp.norms(arr[:, lo:hi])
+        return out
 
     def dual_profile(self, f) -> np.ndarray:
         return np.array([comp.dual_norm(b)
@@ -417,9 +417,11 @@ class DirectSumSpace(NormedSpace):
         """The ``(n, m)`` block dual norms of the rows of an ``(n, dim)``
         array: each component's ``dual_norms`` on its column slice."""
         arr = self.coerce_rows(rows)
-        return np.column_stack([
-            comp.dual_norms(arr[:, lo:hi]) for comp, lo, hi
-            in zip(self.components, self.offsets[:-1], self.offsets[1:])])
+        out = np.empty((len(arr), len(self.components)))
+        for i, (comp, lo, hi) in enumerate(zip(
+                self.components, self.offsets[:-1], self.offsets[1:])):
+            out[:, i] = comp.dual_norms(arr[:, lo:hi])
+        return out
 
     # -- norms ------------------------------------------------------------
 
@@ -438,36 +440,37 @@ class DirectSumSpace(NormedSpace):
     def norming_functional(self, x) -> np.ndarray:
         return self.norming_functionals(self.coerce(x)[None])[0]
 
-    def norming_functionals(self, rows) -> np.ndarray:
-        """Block i of row x is ``e*_i`` times the component's norming
-        functional of the block, where e* norms x's block-norm profile; it is
-        zero on a zero block, which keeps the dual norm one (the Köthe dual
-        norm is monotone)."""
+    def block_normings(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For the rows of an ``(n, dim)`` array: the ``(n, m)`` block-norm
+        profiles, the ``(n, m)`` functionals e* norming them, and the
+        ``(n, dim)`` array whose block i is the component's norming
+        functional of block i, zero on a zero block.  Scaling block i by
+        ``e*_i`` norms x; the zero block keeps the dual norm one because the
+        Köthe dual norm is monotone.  A zero row raises
+        :class:`DegenerateInput`."""
         arr = self.coerce_rows(rows)
         prof = self.profiles(arr)
         estar = self.combiner.normings(prof)  # raises on a zero row
-        out = np.zeros_like(arr)
+        funcs = np.zeros_like(arr)
         for i, (comp, lo, hi) in enumerate(zip(
                 self.components, self.offsets[:-1], self.offsets[1:])):
             live = prof[:, i] > 0.0
-            out[live, lo:hi] = (estar[live, i:i + 1]
-                                * comp.norming_functionals(arr[live, lo:hi]))
-        return out
+            funcs[live, lo:hi] = comp.norming_functionals(arr[live, lo:hi])
+        return prof, estar, funcs
+
+    def norming_functionals(self, rows) -> np.ndarray:
+        """Block i of row x is ``e*_i`` times block i of
+        :meth:`block_normings`."""
+        _, estar, funcs = self.block_normings(rows)
+        return np.repeat(estar, np.diff(self.offsets), axis=1) * funcs
 
     def attaining_vector(self, f) -> np.ndarray:
-        dprof = self.dual_profile(f)
-        if self.combiner.dual_norm_of(dprof) == 0.0:
-            raise DegenerateInput("the zero functional attains nowhere on the sphere")
-        u = self.combiner.dual_attaining_vector(dprof)
-        blocks = []
-        for comp, b in zip(self.components, self.split(f)):
-            if comp.dual_norm(b) > 0.0:
-                blocks.append(comp.attaining_vector(b))
-            else:
-                blocks.append(comp.canonical_unit())
-        return np.concatenate([ui * blk for ui, blk in zip(u, blocks)])
+        return self.attaining_vectors(self.coerce(f)[None])[0]
 
     def attaining_vectors(self, rows) -> np.ndarray:
+        """Block i of row f is ``u_i`` times the component's attaining
+        vector of block i, where u attains the dual profile of f; on a zero
+        block it is ``u_i`` times the component's canonical unit."""
         arr = self.coerce_rows(rows)
         dprof = self.dual_profiles(arr)
         u = self.combiner.dual_attaining_vectors(dprof)  # raises on a zero row
@@ -475,9 +478,11 @@ class DirectSumSpace(NormedSpace):
         for i, (comp, lo, hi) in enumerate(zip(
                 self.components, self.offsets[:-1], self.offsets[1:])):
             live = dprof[:, i] > 0.0
-            blocks = np.empty((len(arr), hi - lo))
-            blocks[live] = comp.attaining_vectors(arr[live, lo:hi])
-            if not live.all():  # a zero block: the canonical unit
+            if live.all():  # no zero block: skip the masked copies
+                blocks = comp.attaining_vectors(arr[:, lo:hi])
+            else:  # a zero block: the canonical unit
+                blocks = np.empty((len(arr), hi - lo))
+                blocks[live] = comp.attaining_vectors(arr[live, lo:hi])
                 blocks[~live] = comp.canonical_unit()
             out[:, lo:hi] = u[:, i:i + 1] * blocks
         return out

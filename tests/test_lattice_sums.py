@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from bpbkit.absolute import AbsoluteNorm2
 from bpbkit.ahsp import ahp_oracle_uniformly_convex, verify_ahsp_witness
 from bpbkit.bpb import ConvexSeries
 from bpbkit.certs import all_passed
@@ -27,7 +28,7 @@ from bpbkit.lattice_sums import (
     lattice_sum_witness,
     sampled_dual_norm,
 )
-from bpbkit.lattices import LpLattice, WeightedL1Lattice
+from bpbkit.lattices import Absolute2Lattice, LpLattice, WeightedL1Lattice
 from bpbkit.spaces import EuclideanSpace, LpSpace
 from bpbkit.util import TOL_SPHERE
 
@@ -159,12 +160,28 @@ class TestNormingElement:
         ]
         assert all_passed(list(ne.certificates))
 
-    def test_zero_block_uses_canonical_direction(self):
+    def test_zero_block_gets_the_zero_functional(self):
         Z = self.make_space()
         ne = build_norming_element(Z, np.array([0.6, 0.8, 0.0, 0.0]), 0.01)
         np.testing.assert_allclose(ne.e_star, [1.0, 0.0])
         np.testing.assert_allclose(ne.assembled, [0.6, 0.8, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(ne.component_functionals[1], [1.0, 0.0])
+        np.testing.assert_array_equal(ne.component_functionals[1], [0.0, 0.0])
+
+    def test_matches_the_space_norming_functional_on_a_zero_block(self):
+        # a valid table whose supporting functional at the profile (1, 0) is
+        # (1 - 2e-11, 0.2): the zero block's e* weight is not zero, so a
+        # canonical-unit functional there would show
+        table = AbsoluteNorm2.from_table(
+            [(0.0, 1.0), (1e-10, 1.0 - 1e-10 + 1e-19), (0.5, 0.6),
+             (1.0, 1.0)])
+        Z = lattice_sum_space(Absolute2Lattice(table),
+                              [EuclideanSpace(2), LpSpace(2, 3.0)])
+        x = np.array([0.6, 0.8, 0.0, 0.0])
+        ne = build_norming_element(Z, x, 0.01)
+        assert ne.e_star[1] == pytest.approx(0.2)
+        np.testing.assert_array_equal(ne.component_functionals[1], [0.0, 0.0])
+        np.testing.assert_array_equal(ne.assembled, Z.norming_functional(x))
+        assert all_passed(list(ne.certificates))
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateInput):
