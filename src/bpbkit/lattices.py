@@ -26,15 +26,45 @@ def _one_hot(dim: int, cols: np.ndarray, values) -> np.ndarray:
     return out
 
 
+# Rows at least this wide keep numpy's reductions: numpy sums them pairwise,
+# which a column fold does not match bit for bit, and a fold over many
+# columns costs more calls than it saves.  Narrower rows numpy reduces one
+# value at a time, left to right, like the fold.
+_FOLD_COLUMNS = 8
+
+
+def _row_reduce(op: np.ufunc, arr: np.ndarray) -> np.ndarray:
+    """``op.reduce(arr, axis=1)``, for ``op`` ``np.maximum`` or ``np.add``, on
+    a real ``(n, dim)`` array of nonnegative entries (magnitudes, powers or
+    squares).
+
+    Narrow rows fold column by column, one ``op`` call over all rows at a
+    time: the same bits, without numpy's per-row cost of a reduction along a
+    short last axis.  (Only a row of negative zeros would differ: numpy's sum
+    starts from +0.0.)  The result never shares memory with ``arr``."""
+    k = arr.shape[1]
+    if k >= _FOLD_COLUMNS:
+        return op.reduce(arr, axis=1)
+    if k == 1:
+        return arr[:, 0].copy()
+    out = op(arr[:, 0], arr[:, 1])
+    for j in range(2, k):
+        out = op(out, arr[:, j])
+    return out
+
+
 def _lp_norms(mags: np.ndarray, p: float) -> np.ndarray:
-    """The p-norms of the rows of an ``(n, dim)`` array of magnitudes."""
+    """The p-norms of the rows of an ``(n, dim)`` array of magnitudes.
+
+    The row maxima and sums are :func:`_row_reduce` folds, bit-identical to
+    ``max``/``sum(axis=1)``."""
     if p == math.inf:
-        return mags.max(axis=1)
+        return _row_reduce(np.maximum, mags)
     if p == 1.0:
-        return mags.sum(axis=1)
-    m = mags.max(axis=1)
+        return _row_reduce(np.add, mags)
+    m = _row_reduce(np.maximum, mags)
     scale = np.where(m == 0.0, 1.0, m)[:, None]
-    return m * ((mags / scale) ** p).sum(axis=1) ** (1.0 / p)
+    return m * _row_reduce(np.add, (mags / scale) ** p) ** (1.0 / p)
 
 
 class FiniteLattice(ABC):

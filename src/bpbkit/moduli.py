@@ -10,7 +10,9 @@ Closed forms are used for Euclidean and p-norms (Hanner's inequalities for
 1 < p < 2, solved by bisection) and for the supported lattice kinds; a
 seed-deterministic brute-force estimator (low-discrepancy sphere sampling
 with chord-length refinement) covers everything else and doubles as the
-independent check of the closed forms.
+independent check of the closed forms.  Both bisections stop at their
+floating-point fixed point, where further steps cannot change a bit, and
+keep their step count only as a cap.
 """
 
 from __future__ import annotations
@@ -87,7 +89,9 @@ def _hanner_delta(p: float, eps: float) -> float:
 
     For p >= 2: 1 - (1 - (eps/2)^p)^(1/p) exactly.  For 1 < p < 2 the
     modulus solves (1 - d + eps/2)^p + |1 - d - eps/2|^p = 2 (sharp by
-    Hanner's inequality); located by bisection on d.
+    Hanner's inequality); located by bisection on d.  Once the midpoint
+    rounds to an end of the bracket, every later step repeats the last one,
+    so the bisection stops there with the value all 200 steps would give.
     """
     if p >= 2.0:
         return 1.0 - (1.0 - (eps / 2.0) ** p) ** (1.0 / p)
@@ -98,6 +102,8 @@ def _hanner_delta(p: float, eps: float) -> float:
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if g(mid) > 0.0:
             lo = mid
         else:
@@ -126,7 +132,11 @@ def _brute_force_convexity(space: NormedSpace, eps: float,
     chord length exactly eps, and take the worst midpoint depth.
 
     All (pair, +-target) rows bisect together, each norm evaluation one
-    ``space.norms`` call over every row.
+    ``space.norms`` call over every row.  Once every row's midpoint rounds
+    to its ``lo`` or ``hi``, the step after that one repeats the same
+    midpoints, hence the same norms and the same short/not-short answers,
+    and nothing moves again.  So the bisection stops there, with the bits
+    the full 80 steps give; 80 stays the cap.
     """
     dim = space.dim
     if dim == 1:
@@ -151,8 +161,11 @@ def _brute_force_convexity(space: NormedSpace, eps: float,
         zero = ncand == 0.0
         cand = cand / np.where(zero, 1.0, ncand)[:, None]
         short = ~zero & (space.norms(x - cand) < eps)
+        settled = ((mid == lo) | (mid == hi)).all()
         lo = np.where(short, mid, lo)
         hi = np.where(short, hi, mid)
+        if settled:
+            break
     cand = (1.0 - hi)[:, None] * x + hi[:, None] * target
     ncand = space.norms(cand)
     nonzero = ncand != 0.0
@@ -169,6 +182,16 @@ def _has_closed_form(space: NormedSpace) -> bool:
                                          and space.p not in (1.0, math.inf))
 
 
+def _check_resolution(resolution) -> None:
+    """Refuse a sample count that is not an integer >= 1 (bools included):
+    zero samples would report the largest modulus, 1.0."""
+    if (isinstance(resolution, bool)
+            or not isinstance(resolution, (int, np.integer))
+            or resolution < 1):
+        raise RangeError(
+            f"resolution must be an integer >= 1, got {resolution!r}")
+
+
 def convexity_modulus(space: NormedSpace, epsilon: float,
                       method: str = "auto", resolution: int = 1000) -> float:
     """Modulus of convexity at ``epsilon`` in (0, 2].
@@ -177,10 +200,12 @@ def convexity_modulus(space: NormedSpace, epsilon: float,
     (euclidean, or lp with 1 < p < inf) and raises
     :class:`NotUniformlyConvex` for lp(1)/lp(inf); ``"brute_force"`` runs the
     sampling estimator on any kind; ``"auto"`` prefers the closed form and
-    falls back to brute force.
+    falls back to brute force.  ``resolution``, the number of sampled pairs,
+    must be an integer >= 1 whichever method runs.
     """
     if not 0.0 < epsilon <= 2.0:
         raise RangeError(f"epsilon must lie in (0, 2], got {epsilon}")
+    _check_resolution(resolution)
     if method not in ("auto", "closed_form", "brute_force"):
         raise RangeError(f"unknown method {method!r}")
     if method != "brute_force" and _has_closed_form(space):
@@ -258,6 +283,7 @@ def monotonicity_modulus(E, epsilon: float) -> float:
 
 def convexity_curve(space: NormedSpace, epsilons, method: str = "auto",
                     resolution: int = 1000) -> ModulusCurve:
+    _check_resolution(resolution)
     samples = tuple((float(e), convexity_modulus(space, float(e), method,
                                                  resolution))
                     for e in epsilons)

@@ -38,7 +38,7 @@ from .absolute import AbsoluteNorm2
 from .errors import (ConfigError, DegenerateInput, DimensionError, NotOnSphere,
                      RangeError)
 from .lattices import (Absolute2Lattice, FiniteLattice, LpLattice,
-                       WeightedL1Lattice, lattice_from_params)
+                       WeightedL1Lattice, _row_reduce, lattice_from_params)
 from .util import TOL_SPHERE
 
 
@@ -179,7 +179,11 @@ class EuclideanSpace(NormedSpace):
         return float(np.linalg.norm(self.coerce(x)))
 
     def norms(self, rows) -> np.ndarray:
-        return np.linalg.norm(self.coerce_rows(rows), axis=1)
+        arr = self.coerce_rows(rows)
+        if self.scalar_field == "complex":
+            return np.linalg.norm(arr, axis=1)
+        # np.linalg.norm's square root of the summed squares, summed by fold
+        return np.sqrt(_row_reduce(np.add, arr * arr))
 
     def dual_norm(self, f) -> float:
         return float(np.linalg.norm(self.coerce(f)))

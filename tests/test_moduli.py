@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpbkit.errors import NotUniformlyConvex, NotUniformlyMonotone, RangeError
 from bpbkit.lattices import LpLattice, WeightedL1Lattice
 from bpbkit.moduli import (
     ModulusCurve,
+    _hanner_delta,
     convexity_curve,
     convexity_modulus,
     monotonicity_curve,
@@ -77,6 +80,55 @@ class TestConvexityModulus:
     def test_unknown_method_rejected(self):
         with pytest.raises(RangeError):
             convexity_modulus(EuclideanSpace(2), 0.5, method="magic")
+
+    @settings(max_examples=60, deadline=None)
+    @given(resolution=st.one_of(
+        st.integers(max_value=0), st.booleans(), st.floats(), st.none(),
+        st.text(max_size=3), st.integers(1, 10).map(float),
+        st.integers(-3, 0).map(np.int64)))
+    def test_resolution_must_be_a_positive_integer(self, resolution):
+        for space in (EuclideanSpace(2), PlaneSpace(AbsoluteNorm2.lp(1.0))):
+            with pytest.raises(RangeError):
+                convexity_modulus(space, 0.5, resolution=resolution)
+            with pytest.raises(RangeError):
+                convexity_curve(space, [0.5], resolution=resolution)
+            with pytest.raises(RangeError):
+                convexity_curve(space, [], resolution=resolution)
+
+    @settings(max_examples=20, deadline=None)
+    @given(resolution=st.one_of(st.integers(1, 40),
+                                st.integers(1, 40).map(np.int64)))
+    def test_positive_integer_resolution_accepted(self, resolution):
+        value = convexity_modulus(LpSpace(2, 1.0), 0.5, method="brute_force",
+                                  resolution=resolution)
+        assert 0.0 <= value <= 1.0
+        curve = convexity_curve(LpSpace(2, 1.0), [0.5], resolution=resolution)
+        assert curve.samples == ((0.5, value),)
+
+
+def _hanner_delta_200_steps(p, eps):
+    """The 1 < p < 2 bisection of ``_hanner_delta`` with all 200 steps."""
+    def g(d):
+        return (1.0 - d + eps / 2.0) ** p + abs(1.0 - d - eps / 2.0) ** p - 2.0
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_hanner_bisection_stops_at_its_fixed_point():
+    # 60 exponents in (1, 2) times 80 epsilons in (0, 2], down to 1e-5
+    epsilons = np.concatenate([np.linspace(0.0, 2.0, 76)[1:],
+                               10.0 ** -np.arange(1, 6)])
+    for p in np.linspace(1.0, 2.0, 62)[1:-1]:
+        for eps in epsilons:
+            assert (_hanner_delta(p, eps)
+                    == _hanner_delta_200_steps(p, eps)), (p, eps)
 
 
 def subset_enumeration_modulus(lattice, epsilon: float, seed: int = 0) -> float:

@@ -18,8 +18,10 @@ from bpbkit.certs import check
 from bpbkit.errors import (DegenerateInput, DimensionError, HypothesisError,
                            NotOnSphere, OracleViolation, RangeError)
 from bpbkit.lattice_sums import duality_isometry_check, sampled_dual_norm
-from bpbkit.lattices import Absolute2Lattice, LpLattice, WeightedL1Lattice
-from bpbkit.moduli import _halton_directions, convexity_modulus
+from bpbkit.lattices import (Absolute2Lattice, LpLattice, WeightedL1Lattice,
+                            _lp_norms, _row_reduce)
+from bpbkit.moduli import (_brute_force_convexity, _halton_directions,
+                           convexity_modulus)
 from bpbkit.spaces import (DirectSumSpace, EuclideanSpace, LatticeSpace,
                            LpSpace, Operator, OperatorNormResult, PlaneSpace)
 from bpbkit.util import TOL_SPHERE
@@ -382,6 +384,76 @@ def test_ascent_uses_only_the_row_kernels():
     assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
 
 
+# -- the column folds against numpy's row reductions ------------------------
+
+
+def _reference_lp_norms(mags, p):
+    """``_lp_norms`` through numpy's ``max``/``sum(axis=1)``."""
+    if p == math.inf:
+        return mags.max(axis=1)
+    if p == 1.0:
+        return mags.sum(axis=1)
+    m = mags.max(axis=1)
+    scale = np.where(m == 0.0, 1.0, m)[:, None]
+    return m * ((mags / scale) ** p).sum(axis=1) ** (1.0 / p)
+
+
+def _fold_inputs(rows, cols):
+    """Real ``(rows, cols)`` arrays over twenty decades, with zero, inf, NaN,
+    subnormal and 1e300 entries sprinkled in, C-ordered, Fortran-ordered
+    and as a strided view."""
+    rng = np.random.default_rng(rows * 100 + cols)
+    arr = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(
+        -10, 10, (rows, cols))
+    special = rng.random((rows, cols)) < 0.15
+    arr[special] = rng.choice([0.0, math.inf, -math.inf, math.nan, 5e-324,
+                               -2.5e-310, 1e300, -1e300], special.sum())
+    if rows >= 5:
+        arr[0] = 0.0
+        arr[1] = 1e300
+        arr[2] = 5e-324
+    wide = np.concatenate([arr, arr], axis=1)
+    return [arr, np.asfortranarray(arr), wide[:, ::2]]
+
+
+FOLD_SHAPES = [(rows, cols) for cols in range(1, 13)
+               for rows in (0, 1, 5, 4097)]
+
+
+@pytest.mark.parametrize("rows,cols", FOLD_SHAPES)
+class TestRowFolds:
+    def test_lp_norms_equal_numpy_reductions(self, rows, cols):
+        with np.errstate(all="ignore"):
+            for arr in _fold_inputs(rows, cols):
+                mags = np.abs(arr)
+                for p in (1.0, 1.5, 2.0, 3.0, 7.5, math.inf):
+                    assert np.array_equal(_lp_norms(mags, p),
+                                          _reference_lp_norms(mags, p),
+                                          equal_nan=True), p
+
+    def test_euclidean_norms_equal_linalg_norm(self, rows, cols):
+        space = EuclideanSpace(cols)
+        with np.errstate(all="ignore"):
+            for arr in _fold_inputs(rows, cols):
+                assert np.array_equal(space.norms(arr),
+                                      np.linalg.norm(arr, axis=1),
+                                      equal_nan=True)
+
+    def test_folds_equal_numpy_and_own_their_memory(self, rows, cols):
+        with np.errstate(all="ignore"):
+            for arr in _fold_inputs(rows, cols):
+                mags = np.abs(arr)
+                got_max = _row_reduce(np.maximum, mags)
+                got_sum = _row_reduce(np.add, mags)
+                assert np.array_equal(got_max, mags.max(axis=1),
+                                      equal_nan=True)
+                assert np.array_equal(got_sum, mags.sum(axis=1),
+                                      equal_nan=True)
+                for got in (got_max, got_sum, _lp_norms(mags, 1.0),
+                            _lp_norms(mags, math.inf)):
+                    assert not np.shares_memory(got, mags)
+
+
 def _per_row_convexity(space, eps, resolution):
     """The estimator one sampled pair at a time through the scalar norm."""
     dim = space.dim
@@ -415,6 +487,48 @@ def _per_row_convexity(space, eps, resolution):
             if space.norm(x - y) >= eps * (1.0 - 1e-9):
                 best = min(best, 1.0 - space.norm((x + y) / 2.0))
     return max(best, 0.0)
+
+
+def _full_bisection_convexity(space, eps, resolution):
+    """The batched estimator with all 80 bisection steps, no early exit."""
+    dim = space.dim
+    dirs = _halton_directions(2 * dim, resolution)
+    a, b = dirs[:, :dim], dirs[:, dim:]
+    na, nb = space.norms(a), space.norms(b)
+    keep = (na != 0.0) & (nb != 0.0)
+    x = np.concatenate([a[keep] / na[keep, None]] * 2)
+    y0 = b[keep] / nb[keep, None]
+    target = np.concatenate([y0, -y0])
+    far = space.norms(x - target) >= eps
+    x, target = x[far], target[far]
+    lo, hi = np.zeros(len(x)), np.ones(len(x))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        cand = (1.0 - mid)[:, None] * x + mid[:, None] * target
+        ncand = space.norms(cand)
+        zero = ncand == 0.0
+        cand = cand / np.where(zero, 1.0, ncand)[:, None]
+        short = ~zero & (space.norms(x - cand) < eps)
+        lo = np.where(short, mid, lo)
+        hi = np.where(short, hi, mid)
+    cand = (1.0 - hi)[:, None] * x + hi[:, None] * target
+    ncand = space.norms(cand)
+    nonzero = ncand != 0.0
+    x, y = x[nonzero], cand[nonzero] / ncand[nonzero, None]
+    valid = space.norms(x - y) >= eps * (1.0 - 1e-9)
+    depth = 1.0 - space.norms((x[valid] + y[valid]) / 2.0)
+    return max(float(depth.min(initial=1.0)), 0.0)
+
+
+class _NormRecorder:
+    """A space's ``norms``, keeping a copy of every row array it gets."""
+
+    def __init__(self, space):
+        self.dim, self._space, self.calls = space.dim, space, []
+
+    def norms(self, rows):
+        self.calls.append(np.array(rows))
+        return self._space.norms(rows)
 
 
 class TestBruteForceConvexity:
@@ -467,6 +581,35 @@ class TestBruteForceConvexity:
         got = convexity_modulus(RowsOnly(3), 0.8, method="brute_force",
                                 resolution=100)
         assert got == pytest.approx(1.0 - math.sqrt(1.0 - 0.16), abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    @pytest.mark.parametrize("eps", [0.05, 0.4, 0.9, 1.3, 1.8, 2.0])
+    def test_fixed_point_exit_is_bit_identical(self, name, eps):
+        got, want = _NormRecorder(SPACES[name]), _NormRecorder(SPACES[name])
+        value = _brute_force_convexity(got, eps, 60)
+        assert value == _full_bisection_convexity(want, eps, 60)
+        # the rows after the bisection, not only their smallest depth
+        for rows, ref in zip(got.calls[-3:], want.calls[-3:]):
+            assert np.array_equal(rows, ref)
+
+    def test_stops_at_the_fixed_point(self):
+        class CountingRows(EuclideanSpace):
+            calls = 0
+
+            def norm(self, x):
+                raise AssertionError("scalar norm called")
+
+            def norms(self, rows):
+                self.calls += 1
+                return super().norms(rows)
+
+        space = CountingRows(3)
+        got = convexity_modulus(space, 0.8, method="brute_force",
+                                resolution=200)
+        # 6 calls outside the bisection and 2 per step: all 80 steps would
+        # make 166
+        assert space.calls <= 126
+        assert got == _full_bisection_convexity(EuclideanSpace(3), 0.8, 200)
 
 
 @pytest.mark.parametrize("E", [LpLattice(4, 3.0), LpLattice(3, 1.0),

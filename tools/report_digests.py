@@ -4,6 +4,7 @@ Runs ``run_scenario`` over a fixed grid of scenarios at seeds 0 and 1 and
 prints, for each kind in ``SCENARIO_KINDS``, the sha256 of the canonical
 report bytes of all that kind's runs in grid order.  A refactor that keeps
 behaviour keeps every digest; run it before and after a change and compare.
+``tests/test_report_digests.py`` pins the current digests.
 
     PYTHONPATH=src python3 tools/report_digests.py
 """
@@ -69,7 +70,9 @@ GRID = [
 ]
 
 
-def main() -> None:
+def report_digests() -> dict[str, str]:
+    """The hex sha256 of each kind's canonical report bytes over the grid,
+    in ``SCENARIO_KINDS`` order."""
     kinds = {kind for kind, _ in GRID}
     if kinds != set(SCENARIO_KINDS):
         raise SystemExit(f"grid covers {sorted(kinds)}, "
@@ -79,8 +82,12 @@ def main() -> None:
         for seed in SEEDS:
             report = run_scenario(Scenario(kind, params), seed)
             digests[kind].update(report.canonical_bytes())
-    for kind in SCENARIO_KINDS:
-        print(f"{kind} {digests[kind].hexdigest()}")
+    return {kind: digests[kind].hexdigest() for kind in SCENARIO_KINDS}
+
+
+def main() -> None:
+    for kind, digest in report_digests().items():
+        print(f"{kind} {digest}")
 
 
 if __name__ == "__main__":
