@@ -35,13 +35,13 @@ import numpy as np
 from .absolute import AbsoluteNorm2, boundary_completion, lemma_fact_delta
 from .bpb import HYPOTHESIS_SLACK, ConvexSeries, filter_large_real_part
 from .certs import Certificate, check, ensure
-from .errors import (ConfigError, DimensionError, HypothesisError,
+from .errors import (DimensionError, HypothesisError,
                      InternalInvariantError, NotUniformlyConvex,
                      OracleViolation, RangeError, WitnessSearchFailed)
 from .lattices import Absolute2Lattice
 from .moduli import convexity_modulus
 from .spaces import DirectSumSpace, LpSpace, NormedSpace, PlaneSpace
-from .util import TOL_SPHERE
+from .util import TOL_SPHERE, json_int
 
 #: Additive hypothesis slack at the top of the direct-sum pipeline; the
 #: honest entry threshold collapses below float resolution, so admission is
@@ -85,14 +85,9 @@ class AhspWitness:
 def witness_from_json(data: dict) -> AhspWitness:
     from .spaces import _scalar_from_json, space_from_json
     space = space_from_json(data["space"])
-    indices = list(data["indices"])
-    # int() would read 0.7 as 0 and true as 1: another witness than given
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-               for i in indices):
-        raise ConfigError(f"witness indices must be integers, got {indices}")
     return AhspWitness(
         space=space,
-        indices=tuple(int(i) for i in indices),
+        indices=tuple(json_int(i, "witness index") for i in data["indices"]),
         points=tuple(
             space.coerce(np.array([_scalar_from_json(v) for v in p]))
             for p in data["points"]),

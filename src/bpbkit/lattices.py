@@ -16,6 +16,7 @@ import numpy as np
 
 from .absolute import AbsoluteNorm2, _p_values, dual_exponent
 from .errors import DegenerateInput, DimensionError, RangeError
+from .util import json_int
 
 
 def _one_hot(dim: int, cols: np.ndarray, values) -> np.ndarray:
@@ -330,7 +331,8 @@ def lattice_from_params(params: dict) -> FiniteLattice:
     kind = params.get("kind")
     if kind == "lp":
         p = params["p"]
-        return LpLattice(int(params["dim"]), math.inf if p == "inf" else float(p))
+        return LpLattice(json_int(params["dim"], "lattice dim"),
+                         math.inf if p == "inf" else float(p))
     if kind == "weighted_l1":
         return WeightedL1Lattice(params["weights"])
     if kind == "absolute2":

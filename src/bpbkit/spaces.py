@@ -39,7 +39,7 @@ from .errors import (ConfigError, DegenerateInput, DimensionError, NotOnSphere,
                      RangeError)
 from .lattices import (Absolute2Lattice, FiniteLattice, LpLattice,
                        WeightedL1Lattice, _row_reduce, lattice_from_params)
-from .util import TOL_SPHERE
+from .util import TOL_SPHERE, json_int
 
 
 class NormedSpace(ABC):
@@ -178,12 +178,14 @@ class EuclideanSpace(NormedSpace):
     def norm(self, x) -> float:
         return float(np.linalg.norm(self.coerce(x)))
 
-    def norms(self, rows) -> np.ndarray:
-        arr = self.coerce_rows(rows)
+    def _row_norms(self, arr: np.ndarray) -> np.ndarray:
         if self.scalar_field == "complex":
             return np.linalg.norm(arr, axis=1)
         # np.linalg.norm's square root of the summed squares, summed by fold
         return np.sqrt(_row_reduce(np.add, arr * arr))
+
+    def norms(self, rows) -> np.ndarray:
+        return self._row_norms(self.coerce_rows(rows))
 
     def dual_norm(self, f) -> float:
         return float(np.linalg.norm(self.coerce(f)))
@@ -200,7 +202,7 @@ class EuclideanSpace(NormedSpace):
 
     def norming_functionals(self, rows) -> np.ndarray:
         arr = self.coerce_rows(rows)
-        n = np.linalg.norm(arr, axis=1)
+        n = self._row_norms(arr)
         if (n == 0.0).any():
             raise DegenerateInput("the zero vector has no norming functional")
         return np.conj(arr) / n[:, None]
@@ -214,7 +216,7 @@ class EuclideanSpace(NormedSpace):
 
     def attaining_vectors(self, rows) -> np.ndarray:
         arr = self.coerce_rows(rows)
-        n = np.linalg.norm(arr, axis=1)
+        n = self._row_norms(arr)
         if (n == 0.0).any():
             raise DegenerateInput("the zero functional attains nowhere on the sphere")
         return np.conj(arr) / n[:, None]
@@ -503,7 +505,7 @@ def space_from_json(obj: dict) -> NormedSpace:
     """Rebuild a space from ``{"kind": ..., "dim": ..., "params": {...}}``."""
     try:
         kind = obj["kind"]
-        dim = int(obj["dim"])
+        dim = json_int(obj["dim"], "space dim")
         params = obj.get("params", {})
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed space description: {exc}") from exc

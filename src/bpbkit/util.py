@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from .errors import DegenerateInput
+from .errors import ConfigError, DegenerateInput
 
 #: Tolerance for membership in a unit sphere: ``|norm(x) - 1| <= TOL_SPHERE``.
 TOL_SPHERE = 1e-9
@@ -18,6 +18,16 @@ def as_pair(x) -> tuple[float, float]:
     if arr.size != 2:
         raise DegenerateInput(f"expected a length-2 real pair, got shape {np.shape(x)}")
     return float(arr[0]), float(arr[1])
+
+
+def json_int(value, what: str) -> int:
+    """``value`` read as a JSON integer (or a numpy integer).
+
+    Anything else is a :class:`ConfigError`: ``int()`` would read 2.5 as 2,
+    ``true`` as 1 and ``"3"`` as 3, another object than the one given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _canonical_default(obj):

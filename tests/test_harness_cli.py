@@ -327,6 +327,25 @@ class TestCliMalformedFields:
         "correct-l1sum-empty-operator": (
             ["correct-l1sum", "--instance", "{a}"],
             {"a": {"operator": {}, "epsilon": 0.3}}),
+        # int() once read "abc" with a raw ValueError, and 2.5 as 2, true as
+        # 1 and "3" as 3: another space than the file's
+        **{f"space-dim-{name}": (
+            ["moduli-curve", "--space", "{a}", "--epsilons", "0.5"],
+            {"a": {**EuclideanSpace(2).to_json(), "dim": dim}})
+           for name, dim in (("not-a-number", "abc"), ("fractional", 2.5),
+                             ("boolean", True), ("string", "3"))},
+        "lattice-dim-fractional": (
+            ["moduli-curve", "--space", "{a}", "--epsilons", "0.5",
+             "--modulus", "monotonicity"],
+            {"a": {"kind": "lattice", "dim": 3,
+                   "params": {"lattice": {"kind": "lp", "dim": 3.5,
+                                          "p": 3.0}}}}),
+        "direct-sum-combiner-dim-boolean": (
+            ["moduli-curve", "--space", "{a}", "--epsilons", "0.5"],
+            {"a": {**lattice_sum_instance()["space"],
+                   "params": {**lattice_sum_instance()["space"]["params"],
+                              "combiner": {"kind": "lp", "dim": True,
+                                           "p": 1.0}}}}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

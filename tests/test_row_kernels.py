@@ -439,6 +439,19 @@ class TestRowFolds:
                                       np.linalg.norm(arr, axis=1),
                                       equal_nan=True)
 
+    def test_euclidean_kernels_equal_linalg_norm_formula(self, rows, cols):
+        space = EuclideanSpace(cols)
+        with np.errstate(all="ignore"):
+            arr = _fold_inputs(rows, cols)[0]
+            # zero rows excepted: the kernels refuse them
+            arr = arr[np.linalg.norm(arr, axis=1) != 0.0]
+            for x in (arr, np.asfortranarray(arr),
+                      np.repeat(arr, 2, axis=1)[:, ::2]):
+                want = np.conj(x) / np.linalg.norm(x, axis=1)[:, None]
+                for kernel in (space.norming_functionals,
+                               space.attaining_vectors):
+                    assert np.array_equal(kernel(x), want, equal_nan=True)
+
     def test_folds_equal_numpy_and_own_their_memory(self, rows, cols):
         with np.errstate(all="ignore"):
             for arr in _fold_inputs(rows, cols):
