@@ -8,9 +8,9 @@ unit functional, and unit points z_k in that functional's face with
 * face-approximation oracles for uniformly convex spaces (the modulus of
   convexity drives the distance guarantee) and for polyhedral planes
   (faces are segments; a positive gap separates off-face vertices);
-* one face projection per space kind, shared by the oracles and the
-  finite-dimensional witness constructor (norming functional, mass filter,
-  projection, verification);
+* exact face points read from the geometry, one rule per lattice and a
+  blockwise rule for direct sums, shared by the oracles and the
+  finite-dimensional witness constructor;
 * the two-summand pipeline: profile-level witness in the plane, lifted
   points, a heavy-set filter, and a three-way case split on the dual
   components of the norming functional, every promised inequality being
@@ -38,9 +38,12 @@ from .certs import Certificate, check, ensure
 from .errors import (DimensionError, HypothesisError,
                      InternalInvariantError, NotUniformlyConvex,
                      OracleViolation, RangeError, WitnessSearchFailed)
-from .lattices import Absolute2Lattice
+from .lattices import (Absolute2Lattice, LpLattice, WeightedL1Lattice,
+                       _one_hot)
 from .moduli import convexity_modulus
-from .spaces import DirectSumSpace, LpSpace, NormedSpace, PlaneSpace
+from .spaces import (DirectSumSpace, LatticeSpace, LpSpace, NormedSpace,
+                     PlaneSpace, _scalar_from_json, _scalar_to_json,
+                     space_from_json)
 from .util import TOL_SPHERE, json_int
 
 #: Additive hypothesis slack at the top of the direct-sum pipeline; the
@@ -71,7 +74,6 @@ class AhspWitness:
     certificates: tuple[Certificate, ...] = field(default_factory=tuple)
 
     def to_json(self) -> dict:
-        from .spaces import _scalar_to_json
         return {
             "space": self.space.to_json(),
             "indices": list(self.indices),
@@ -83,7 +85,6 @@ class AhspWitness:
 
 
 def witness_from_json(data: dict) -> AhspWitness:
-    from .spaces import _scalar_from_json, space_from_json
     space = space_from_json(data["space"])
     return AhspWitness(
         space=space,
@@ -196,15 +197,12 @@ def _project_segment(gen: AbsoluteNorm2, p: np.ndarray, va: np.ndarray,
     return p - residuals[k]
 
 
-def _polyhedral_face_point(plane: PlaneSpace, functional, x) -> np.ndarray:
-    """Nearest point to ``x`` on the face of ``functional`` (polyhedral
-    generator): the face is the convex hull of the sphere vertices the
+def _polyhedral_face_point(gen: AbsoluteNorm2, fv, xv) -> np.ndarray:
+    """Nearest point to ``xv`` on the face of ``fv`` (polyhedral generator
+    ``gen``): the face is the convex hull of the sphere vertices the
     functional supports, pushed into the functional's sign quadrant.  Where
     the functional vanishes the face is symmetric across that axis, and the
-    norm is absolute, so the nearest point shares ``x``'s sign there."""
-    gen = plane.generator
-    fv = plane.coerce(functional)
-    xv = plane.coerce(x)
+    norm is absolute, so the nearest point shares ``xv``'s sign there."""
     signs = np.where(np.where(fv == 0.0, xv, fv) < 0.0, -1.0, 1.0)
     verts = [signs * np.array(v) for v in gen.face_vertices(np.abs(fv))]
     best = None
@@ -221,42 +219,70 @@ def _polyhedral_face_point(plane: PlaneSpace, functional, x) -> np.ndarray:
 
 
 def _rotund(space: NormedSpace) -> bool:
-    """Whether every face of the space is a single point: euclidean, lp with
-    1 < p < inf, and planes with a smooth generator."""
-    if space.kind == "absolute2":
-        return space.generator.is_smooth
-    return space.kind == "euclidean" or (space.kind == "lp"
-                                         and 1.0 < space.p < math.inf)
+    """Whether every face is a single point: euclidean spaces, lattices that
+    are lp with 1 < p < inf or a smooth plane generator, and direct sums of
+    rotund components under a rotund combiner (a strictly convex, strictly
+    monotone E over strictly convex blocks gives a strictly convex sum)."""
+    if space.kind == "direct_sum":
+        return all(map(_rotund, [LatticeSpace(space.combiner),
+                                 *space.components]))
+    lat = getattr(space, "lattice", None)  # None on euclidean spaces
+    if isinstance(lat, Absolute2Lattice):
+        return lat.norm2.is_smooth
+    return space.kind == "euclidean" or (isinstance(lat, LpLattice)
+                                         and 1.0 < lat.p < math.inf)
 
 
 def _face_point(space: NormedSpace, functional, x) -> np.ndarray:
-    """Nearest point to ``x`` on the face of the unit ``functional``, one
-    rule per kind: the attaining vector when the face is a point, the
-    polygon search on polyhedral planes, closed forms for lp(1) and
-    lp(inf), and the SLSQP projection for every other kind."""
+    """A point on the face of the unit ``functional``, near ``x``: the
+    attaining vector when the face is a point, else one rule per lattice
+    read through ``space.lattice`` (the nearest point by polygon search for
+    a polyhedral generator, the l-infinity form, one weighted-l1 form with
+    lp(1) as unit weights) or the blockwise point of a direct sum.  The
+    weighted-l1 and blockwise points are on the face, not claimed nearest."""
     if _rotund(space):
         return space.attaining_vector(functional)
-    if space.kind == "absolute2":
-        return _polyhedral_face_point(space, functional, x)
-    if space.kind == "lp" and space.p == 1.0:
-        fv = space.coerce(functional)
-        xv = space.coerce(x)
-        support = np.abs(fv) >= 1.0 - 1e-12
-        sgn = np.where(fv < 0.0, -1.0, 1.0)
-        w = np.where(support, np.maximum(xv * sgn, 0.0), 0.0)
-        total = float(w.sum())
-        if total == 0.0:
-            i0 = int(np.nonzero(support)[0][0])
-            z = np.zeros(space.dim)
-            z[i0] = sgn[i0]
-            return z
-        return sgn * w / total
-    if space.kind == "lp" and space.p == math.inf:
-        fv = space.coerce(functional)
-        xv = space.coerce(x)
-        sgn = np.where(fv < 0.0, -1.0, 1.0)
+    fv = space.coerce(functional)
+    xv = space.coerce(x)
+    if space.kind == "direct_sum":
+        return _blockwise_face_point(space, fv, xv)
+    lat = space.lattice
+    if isinstance(lat, Absolute2Lattice):
+        return _polyhedral_face_point(lat.norm2, fv, xv)
+    sgn = np.where(fv < 0.0, -1.0, 1.0)
+    if isinstance(lat, LpLattice) and lat.p == math.inf:
         return np.where(np.abs(fv) > 1e-15, sgn, np.clip(xv, -1.0, 1.0))
-    return _optimized_face_point(space, functional, x)
+    # lp(1) or weighted l1: the face is the hull of the signed e_i / w_i
+    # with |f_i| = w_i; x's part in the face's orthant, rescaled
+    weights = (lat.weights if isinstance(lat, WeightedL1Lattice)
+               else np.ones(space.dim))
+    support = np.abs(fv) / weights >= 1.0 - 1e-12
+    w = np.where(support, np.maximum(xv * sgn, 0.0), 0.0)
+    total = float((weights * w).sum())
+    if total == 0.0:  # x has no mass on the face: its first vertex
+        i0 = int(np.nonzero(support)[0][0])
+        return _one_hot(space.dim, [i0], sgn[i0] / weights[i0])[0]
+    return sgn * w / total
+
+
+def _blockwise_face_point(space: DirectSumSpace, fv: np.ndarray,
+                          xv: np.ndarray) -> np.ndarray:
+    """:meth:`DirectSumSpace.attaining_vectors` with face points for its
+    attaining vectors: p is E's face point of the dual profile d near the
+    profile of ``xv``; block i is ``p_i`` times the component's face point
+    of ``f_i / d_i`` near x_i's unit direction (the canonical unit on a zero
+    block), or ``p_i`` times that direction where ``d_i = 0``.  So
+    f(z) = <d, p> = 1 = |p|_E."""
+    d = space.dual_profile(fv)
+    prof = space.profile(xv)
+    p = _face_point(LatticeSpace(space.combiner), d, prof)
+    blocks = []
+    for comp, f_i, x_i, d_i, r_i, p_i in zip(
+            space.components, space.split(fv), space.split(xv), d, prof, p):
+        x_hat = x_i / r_i if r_i > 0.0 else comp.canonical_unit()
+        face = _face_point(comp, f_i / d_i, x_hat) if d_i > 0.0 else x_hat
+        blocks.append(p_i * face)
+    return np.concatenate(blocks)
 
 
 def _face_points(space: NormedSpace, functional,
@@ -269,26 +295,6 @@ def _face_points(space: NormedSpace, functional,
         return np.repeat(z[None, :], len(rows), axis=0)
     return np.array([_face_point(space, functional, x) for x in rows],
                     dtype=space.dtype).reshape(len(rows), space.dim)
-
-
-def _optimized_face_point(space: NormedSpace, x_star, x) -> np.ndarray:
-    """Constrained-minimization face projection for kinds without a closed
-    form (real spaces): minimize the distance subject to value one and
-    staying inside the ball."""
-    from scipy.optimize import minimize
-    fv = space.coerce(x_star)
-    xv = space.coerce(x)
-    g = space.attaining_vector(fv)
-    z0 = xv + (1.0 - float(np.dot(fv, xv))) * g
-    res = minimize(
-        lambda z: float(space.norm(z - xv)), z0, method="SLSQP",
-        constraints=[
-            {"type": "eq", "fun": lambda z: float(np.dot(fv, z)) - 1.0},
-            {"type": "ineq", "fun": lambda z: 1.0 - float(space.norm(z))},
-        ],
-        options={"maxiter": 200, "ftol": 1e-14},
-    )
-    return space.coerce(res.x)
 
 
 def finite_dim_witness(space: NormedSpace, series: ConvexSeries,
@@ -389,7 +395,7 @@ class _FaceOracle(AhspOracle):
         ...
 
     def face_point(self, y_star: np.ndarray, x=None) -> np.ndarray:
-        """Nearest point to ``x`` on the face of ``y_star`` (the face itself
+        """:func:`_face_point` of ``y_star`` near ``x`` (the face itself
         when it is a single point, so ``x`` may be omitted there)."""
         return _face_point(self.space, y_star, x)
 
@@ -438,19 +444,26 @@ class _FaceOracle(AhspOracle):
 class UniformlyConvexAhspOracle(_FaceOracle):
     """Witnesses in a uniformly convex space: every face is one point.
 
-    ``delta`` is the closed-form modulus of convexity (of lp(p) for a
-    smooth plane); ``theta(eps)`` is the modulus at ``0.8 eps`` (floored at
-    1e-9); ``eta_ball`` is the modulus itself, which turns a near-support
-    inequality into a distance bound.  Raises :class:`NotUniformlyConvex`
-    for kinds with flat faces.
+    ``delta`` is the closed-form modulus of convexity (of lp(dim, p) when
+    the space's lattice is an lp(p) norm); ``theta(eps)`` is the modulus
+    at ``0.8 eps`` (floored at 1e-9); ``eta_ball`` is the modulus itself,
+    which turns a near-support inequality into a distance bound.  Raises
+    :class:`NotUniformlyConvex` for kinds with flat faces and for direct
+    sums, which have no closed-form modulus.
     """
 
     def __init__(self, space: NormedSpace):
         if not _rotund(space):
             raise NotUniformlyConvex(
                 f"space kind {space.kind!r} has no uniformly convex modulus here")
-        self._modulus_space = (LpSpace(2, space.generator.p)
-                               if space.kind == "absolute2" else space)
+        if space.kind == "direct_sum":
+            raise NotUniformlyConvex(
+                "a rotund direct sum has no closed-form convexity modulus")
+        self._modulus_space = space
+        if space.kind not in ("euclidean", "lp"):
+            lat = space.lattice
+            p = lat.norm2.p if isinstance(lat, Absolute2Lattice) else lat.p
+            self._modulus_space = LpSpace(space.dim, p)
         self.space = space
 
     def delta(self, epsilon: float) -> float:
@@ -488,6 +501,17 @@ class PolyhedralPlaneAhspOracle(_FaceOracle):
             raise RangeError("use the uniformly convex oracle for smooth generators")
         self.space = space
         self.gap = space.generator.face_gap()
+
+    def witness_ball(self, weights, points, functional, epsilon):
+        """Raises :class:`RangeError` unless ``|functional|`` is within 1e-9
+        (max-abs) of an extreme dual point: no ``eta_ball`` serves the
+        functionals near but not at one, whose face gap tends to 0."""
+        extreme = np.array(self.space.generator.support_candidates())
+        gap = np.abs(extreme - np.abs(self.space.coerce(functional)))
+        if not (gap.max(axis=1) <= 1e-9).any():
+            raise RangeError("witness_ball on a polyhedral plane requires "
+                             "an extreme dual point")
+        return super().witness_ball(weights, points, functional, epsilon)
 
     def theta(self, epsilon: float) -> float:
         return max(0.45 * self.gap * epsilon, 1e-9)
@@ -721,12 +745,8 @@ def _tiny_side_branch(X, M, N, f, pol, certs, series, pts, B, weights_B, R,
     passive = np.array(coefs).reshape(-1, 1) * passive_hat[kept]
     faces = _point_rows(active_space, face_pts)[kept]
     Z = np.hstack([passive, faces] if first_tiny else [faces, passive])
-    if first_tiny:
-        functional = np.concatenate([np.zeros(M.dim),
-                                     active_space.coerce(out_star)])
-    else:
-        functional = np.concatenate([active_space.coerce(out_star),
-                                     np.zeros(N.dim)])
+    functional = X.embed([np.zeros(M.dim), out_star] if first_tiny
+                         else [out_star, np.zeros(N.dim)])
     bound = eps / 5.0 + pol.epsilon1 + 2.0 * pol.epsilon0
     dists = X.norms(Z - pts[C])
     certs.append(check("witness-distance-chain", float(dists.max(initial=0.0)),
@@ -751,34 +771,12 @@ def _both_sides_branch(X, M, N, pol, certs, series, pts, B, R,
     certs.append(check("split-first-covered", missing, "<=", 0.0))
     certs.append(check("split-second-covered", missing, "<=", 0.0))
 
-    m_hat_star = M.coerce(m_star) / mu
-    n_hat_star = N.coerce(n_star) / nu
-    if B1:
-        min_m = float(np.real(m_hat[large_1] @ m_hat_star).min())
-        certs.append(check("first-component-hypothesis", min_m, ">",
-                           1.0 - pol.eta1))
-        keptM, u_pts, m1_star = oracle_M.witness_ball(
-            [float(series.weights[k]) for k in B1],
-            m_hat[large_1], m_hat_star, pol.epsilon1)
-        D1 = {B1[j]: u_pts[i] for i, j in enumerate(keptM)}
-        u0 = M.attaining_vector(m1_star)
-    else:
-        D1 = {}
-        u0 = M.canonical_unit()
-        m1_star = M.norming_functional(u0)
-    if C1:
-        min_n = float(np.real(n_hat[large_2] @ n_hat_star).min())
-        certs.append(check("second-component-hypothesis", min_n, ">",
-                           1.0 - pol.eta1))
-        keptN, v_pts, n1_star = oracle_N.witness_ball(
-            [float(series.weights[k]) for k in C1],
-            n_hat[large_2], n_hat_star, pol.epsilon1)
-        F1 = {C1[j]: v_pts[i] for i, j in enumerate(keptN)}
-        v0 = N.attaining_vector(n1_star)
-    else:
-        F1 = {}
-        v0 = N.canonical_unit()
-        n1_star = N.norming_functional(v0)
+    D1, u0, m1_star = _side_witness(M, oracle_M, B1, m_hat[large_1],
+                                    M.coerce(m_star) / mu, "first",
+                                    series, pol, certs)
+    F1, v0, n1_star = _side_witness(N, oracle_N, C1, n_hat[large_2],
+                                    N.coerce(n_star) / nu, "second",
+                                    series, pol, certs)
 
     core = [k for k in B if k in D1 and k in F1]
     patch_first = [k for k in B if k not in B1 and k in F1]
@@ -816,6 +814,22 @@ def _both_sides_branch(X, M, N, pol, certs, series, pts, B, R,
     functional = np.concatenate([al * M.coerce(m1_star),
                                  be * N.coerce(n1_star)])
     return tuple(C), Z, functional, dists
+
+
+def _side_witness(space, oracle, keys, hats, star, side, series, pol, certs):
+    """One summand's component witness in :func:`_both_sides_branch`: face
+    points by index of ``keys``, the output functional's attaining vector
+    and that functional (with no indices: the canonical unit's pair)."""
+    if not keys:
+        u0 = space.canonical_unit()
+        return {}, u0, space.norming_functional(u0)
+    min_val = float(np.real(hats @ star).min())
+    certs.append(check(f"{side}-component-hypothesis", min_val, ">",
+                       1.0 - pol.eta1))
+    kept, faces, out_star = oracle.witness_ball(
+        [float(series.weights[k]) for k in keys], hats, star, pol.epsilon1)
+    return ({keys[j]: faces[i] for i, j in enumerate(kept)},
+            space.attaining_vector(out_star), out_star)
 
 
 def restrict_witness(sum_space: DirectSumSpace, witness: AhspWitness,

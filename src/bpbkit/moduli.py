@@ -12,11 +12,11 @@ seed-deterministic brute-force estimator (low-discrepancy sphere sampling
 with chord-length refinement) covers everything else and doubles as the
 independent check of the closed forms.  Its sample points are
 Owen-scrambled Halton points mapped through the inverse normal CDF, built
-in numpy alone: the same points, bit for bit, as scipy's
-``Halton(scramble=True, seed=1234)`` and ``norm.ppf``, without the cost of
-importing scipy's statistics package.  Both bisections stop at their
-floating-point fixed point, where further steps cannot change a bit, and
-keep their step count only as a cap.
+in numpy alone, bit for bit the reference ``qmc.Halton(scramble=True,
+seed=1234)`` and ``norm.ppf`` that ``tests/test_halton.py`` checks them
+against, without the cost of importing a statistics package.  Both
+bisections stop at their floating-point fixed point, where further steps
+cannot change a bit, and keep their step count only as a cap.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _hanner_delta(p: float, eps: float) -> float:
     return 0.5 * (lo + hi)
 
 
-# Cephes ``ndtri`` (the inverse normal CDF scipy.special.ndtri wraps): a
+# Cephes ``ndtri`` (the inverse normal CDF the reference ndtri wraps): a
 # rational approximation in y - 1/2 for exp(-2) < y < 1 - exp(-2), and in
 # 1/x, x = sqrt(-2 log y), on the tails, with one set of coefficients for
 # x < 8 and another for x >= 8.  Highest power first.
@@ -165,7 +165,7 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 def _ndtri(y: np.ndarray) -> np.ndarray:
     """Inverse standard normal CDF of each ``y`` in [0, 1], the Cephes
-    ``ndtri`` recipe step for step, so the bits are scipy.special.ndtri's:
+    ``ndtri`` recipe step for step, so the bits are the reference ndtri's:
     0 maps to -inf and 1 to +inf."""
     y = np.asarray(y, dtype=float)
     upper = y > 1.0 - _EXP_M2
@@ -206,13 +206,13 @@ def _halton_directions(dim: int, count: int) -> np.ndarray:
     ``count`` Owen-scrambled Halton points in ``[0, 1)^dim`` (Owen, "A
     randomized Halton algorithm in R", arXiv 1706.02808), built in numpy.
 
-    They are the same points, bit for bit, as scipy's
+    They are the same points, bit for bit, as the reference
     ``norm.ppf(np.clip(Halton(d=dim, scramble=True, seed=1234).random(count),
     1e-12, 1 - 1e-12))``: coordinate k is the scrambled radical inverse in the
     k-th prime base, one seeded digit permutation per digit a double can
-    hold, drawn in scipy's order from ``np.random.default_rng(1234)``.  The
-    fixed seed makes the output a function of ``(dim, count)``, so it is
-    cached and returned read-only."""
+    hold, drawn in the reference's order from
+    ``np.random.default_rng(1234)``.  The fixed seed makes the output a
+    function of ``(dim, count)``, so it is cached and returned read-only."""
     rng = np.random.default_rng(1234)
     u = np.empty((count, dim))
     for k, base in enumerate(_primes(dim)):

@@ -1,5 +1,5 @@
-"""Face oracles, the face projection per kind, the sphere-polygon walk and
-the SLSQP face projection."""
+"""Face oracles, the face rule per lattice and the blockwise rule for
+direct sums, and the sphere-polygon walk."""
 from __future__ import annotations
 
 import math
@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bpbkit import ahsp
@@ -17,7 +17,7 @@ from bpbkit.ahsp import (PolyhedralPlaneAhspOracle, UniformlyConvexAhpOracle,
                          ahp_oracle_uniformly_convex, finite_dim_witness)
 from bpbkit.bpb import ConvexSeries
 from bpbkit.errors import NotUniformlyConvex, RangeError
-from bpbkit.lattices import LpLattice
+from bpbkit.lattices import Absolute2Lattice, LpLattice, WeightedL1Lattice
 from bpbkit.moduli import convexity_modulus
 from bpbkit.spaces import (DirectSumSpace, EuclideanSpace, LatticeSpace,
                            LpSpace, PlaneSpace)
@@ -38,6 +38,9 @@ class TestUniformlyConvexOracle:
         (LpSpace(3, 4.0), LpSpace(3, 4.0)),
         (PlaneSpace(AbsoluteNorm2.lp(3.0)), LpSpace(2, 3.0)),
         (PlaneSpace(AbsoluteNorm2.lp(1.25)), LpSpace(2, 1.25)),
+        (LatticeSpace(LpLattice(3, 2.0)), LpSpace(3, 2.0)),
+        (LatticeSpace(Absolute2Lattice(AbsoluteNorm2.lp(3.0))),
+         LpSpace(2, 3.0)),
     ])
     def test_delta_is_the_closed_form_modulus(self, space, modulus_space):
         oracle = ahp_oracle_uniformly_convex(space)
@@ -51,12 +54,20 @@ class TestUniformlyConvexOracle:
         LpSpace(3, math.inf),
         PlaneSpace(TABLE),
         PlaneSpace(AbsoluteNorm2.lp(1.0)),
-        LatticeSpace(LpLattice(3, 2.0)),
+        LatticeSpace(LpLattice(3, 1.0)),
+        LatticeSpace(WeightedL1Lattice([1.0, 2.0, 0.5])),
         DirectSumSpace([EuclideanSpace(2), EuclideanSpace(2)],
                        LpLattice(2, 2.0)),
     ])
     def test_flat_or_unsupported_kinds_refused(self, space):
         with pytest.raises(NotUniformlyConvex):
+            ahp_oracle_uniformly_convex(space)
+
+    def test_rotund_direct_sum_has_no_closed_form(self):
+        space = DirectSumSpace([EuclideanSpace(2), LpSpace(2, 3.0)],
+                               LpLattice(2, 2.0))
+        assert ahsp._rotund(space)
+        with pytest.raises(NotUniformlyConvex, match="no closed-form"):
             ahp_oracle_uniformly_convex(space)
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, 2.0001, 3.0])
@@ -92,6 +103,14 @@ class TestSharedWitnessBall:
             assert abs(space.norm(z) - 1.0) < 1e-9
             assert abs(float(np.dot(f, z)) - 1.0) < 1e-9
             assert space.norm(p - z) < 0.2
+
+    def test_polyhedral_refuses_a_functional_that_is_not_extreme(self):
+        # the face of (0.999, 0.001) on the l-infinity plane is one vertex,
+        # 0.5 from the point, although the pairing clears the bar; the
+        # oracle's norming set is the extreme dual points
+        oracle = PolyhedralPlaneAhspOracle(PlaneSpace(AbsoluteNorm2.lp(math.inf)))
+        with pytest.raises(RangeError, match="extreme dual point"):
+            oracle.witness_ball([1.0], [(1.0, 0.5)], (0.999, 0.001), 0.3)
 
 
 class TestFlatFaceAcrossAnAxis:
@@ -269,28 +288,94 @@ def near_collinear_series(space, seed: int, count: int = 4,
     return ConvexSeries(weights / weights.sum(), np.array(points))
 
 
-class TestOptimizedFacePoint:
-    # Lattice and direct-sum kinds have no closed-form face, so every face
-    # point comes from the SLSQP projection, and the witness is verified
-    # once with nothing to fall back on.
-    @pytest.mark.parametrize("space", [
-        LatticeSpace(LpLattice(4, 3.0)),
-        DirectSumSpace([EuclideanSpace(2), EuclideanSpace(2)],
-                       LpLattice(2, 2.0)),
-    ], ids=["lattice", "direct_sum"])
+E2 = EuclideanSpace(2)
+EXACT_KINDS = {
+    "lattice-lp(4,3)": LatticeSpace(LpLattice(4, 3.0)),
+    "lattice-lp(3,1)": LatticeSpace(LpLattice(3, 1.0)),
+    "lattice-lp(3,inf)": LatticeSpace(LpLattice(3, math.inf)),
+    "lattice-weighted-l1": LatticeSpace(WeightedL1Lattice([1.0, 2.0, 0.5])),
+    "lattice-table": LatticeSpace(Absolute2Lattice(TABLE)),
+    "lattice-plane-lp(3)": LatticeSpace(Absolute2Lattice(AbsoluteNorm2.lp(3.0))),
+    "sum-E2+1E2": DirectSumSpace([E2, E2], LpLattice(2, 1.0)),
+    "sum-E2+2E2": DirectSumSpace([E2, E2], LpLattice(2, 2.0)),
+    "sum-E2+infE2": DirectSumSpace([E2, E2], LpLattice(2, math.inf)),
+    "sum-E2+2lp(2,1)": DirectSumSpace([E2, LpSpace(2, 1.0)], LpLattice(2, 2.0)),
+    "sum-table": DirectSumSpace([PlaneSpace(TABLE), E2], Absolute2Lattice(TABLE)),
+    "sum-mixed": DirectSumSpace([E2, LpSpace(2, math.inf), PlaneSpace(TABLE)],
+                                LpLattice(3, 3.0)),
+    "sum-weighted": DirectSumSpace([E2, LpSpace(3, 1.5)],
+                                   WeightedL1Lattice([1.0, 2.0])),
+}
+
+
+class TestExactFacePoint:
+    # Every lattice and direct-sum kind takes an exact face rule: the
+    # attaining vector, a lattice's closed form or polygon search, or the
+    # blockwise point; the witness is verified once with nothing to fall
+    # back on, and its points sit on the face to the last bits.
+    @pytest.mark.parametrize("name", sorted(EXACT_KINDS))
+    @pytest.mark.parametrize("spread,eta", [(1e-3, 0.01), (3e-2, 0.05)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_witness_certificates_pass(self, monkeypatch, space, seed):
-        calls = []
-        original = ahsp._optimized_face_point
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(ahsp, "_optimized_face_point", counted)
-        series = near_collinear_series(space, seed)
-        witness = finite_dim_witness(space, series, 0.3, 0.01)
-        assert space.dim == 4
-        assert len(calls) == len(witness.indices) == 4
+    def test_witness_certificates_pass(self, name, spread, eta, seed):
+        space = EXACT_KINDS[name]
+        series = near_collinear_series(space, seed, spread=spread)
+        witness = finite_dim_witness(space, series, 0.3, eta)
         assert witness.certificates
         assert all(c.passed for c in witness.certificates)
+        values = np.array(witness.points) @ witness.functional
+        assert float(np.abs(values - 1.0).max()) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_lattice_backed_kinds_share_one_rule(self, data):
+        p = data.draw(st.sampled_from([1.0, 1.5, 3.0, math.inf]))
+        gen = data.draw(st.sampled_from([TABLE, AbsoluteNorm2.lp(1.0),
+                                         AbsoluteNorm2.lp(math.inf),
+                                         AbsoluteNorm2.lp(2.5)]))
+        n = data.draw(st.integers(1, 4))
+        for space, twin in [(LpSpace(n, p), LatticeSpace(LpLattice(n, p))),
+                            (PlaneSpace(gen), LatticeSpace(Absolute2Lattice(gen)))]:
+            y = _nonzero_vector(data, space.dim)
+            x = np.array(data.draw(_coords(space.dim)))
+            f = space.norming_functional(y)
+            np.testing.assert_array_equal(twin.norming_functional(y), f)
+            z = ahsp._face_point(space, f, x)
+            assert _bits(ahsp._face_point(twin, f, x)) == _bits(z)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_blockwise_point_is_on_the_face(self, data):
+        comps = data.draw(st.lists(st.sampled_from(BLOCKS), min_size=1,
+                                   max_size=3))
+        m = len(comps)
+        combiner = data.draw(st.sampled_from(
+            [LpLattice(m, 1.0), LpLattice(m, 2.0), LpLattice(m, math.inf),
+             WeightedL1Lattice(np.linspace(0.5, 2.0, m))]
+            + ([Absolute2Lattice(TABLE)] if m == 2 else [])))
+        space = DirectSumSpace(comps, combiner)
+        assume(not ahsp._rotund(space))
+        f = space.norming_functional(_nonzero_vector(data, space.dim))
+        x = np.array(data.draw(_coords(space.dim)))
+        z = ahsp._face_point(space, f, x)
+        assert abs(space.norm(z) - 1.0) <= 1e-12
+        assert abs(float(f @ z) - 1.0) <= 1e-12
+
+
+BLOCKS = [E2, LpSpace(2, 1.0), LpSpace(3, math.inf), LpSpace(2, 3.0),
+          PlaneSpace(TABLE), LatticeSpace(WeightedL1Lattice([0.5, 2.0]))]
+
+
+def _coords(dim: int):
+    """Coordinates with exact zeros among them, so zero blocks occur."""
+    return st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+                    min_size=dim, max_size=dim)
+
+
+def _nonzero_vector(data, dim: int) -> np.ndarray:
+    y = np.array(data.draw(_coords(dim)))
+    assume(np.abs(y).max() > 1e-6)
+    return y
+
+
+def _bits(arr: np.ndarray) -> bytes:
+    return np.ascontiguousarray(arr, dtype=np.float64).tobytes()
