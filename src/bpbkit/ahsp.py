@@ -355,7 +355,9 @@ class AhspOracle(ABC):
     hypothesis ``|sum a_k x_k| > 1 - eta(eps)``.  ``witness_ball`` consumes
     ball points together with a unit functional already known to nearly
     support every point (``Re w*(p_k) > 1 - eta_ball(eps)``) and returns
-    kept positions, face points, and the output functional; implementations
+    kept positions (into ``points``), one face point per kept position, and
+    the output functional: the i-th face point stands for
+    ``points[kept[i]]``, so an oracle may drop points.  Implementations
     self-check their distance contract and raise :class:`OracleViolation`
     rather than return an invalid answer.
     """
@@ -743,7 +745,7 @@ def _tiny_side_branch(X, M, N, f, pol, certs, series, pts, B, weights_B, R,
     certs.append(check("completion-error", completion_err, "<=", eps / 5.0,
                        tol=1e-9))
     passive = np.array(coefs).reshape(-1, 1) * passive_hat[kept]
-    faces = _point_rows(active_space, face_pts)[kept]
+    faces = _point_rows(active_space, face_pts)
     Z = np.hstack([passive, faces] if first_tiny else [faces, passive])
     functional = X.embed([np.zeros(M.dim), out_star] if first_tiny
                          else [out_star, np.zeros(N.dim)])

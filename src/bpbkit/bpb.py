@@ -157,9 +157,11 @@ class ComponentBpbOracle(ABC):
     Contract: given the restriction ``T_i`` (not necessarily of norm one), a
     unit domain vector ``z_hat`` with ``|T_i z_hat| / |T_i| > 1 - eta(s)``,
     and the parameter s, return ``(S_i, x_i)`` with ``|S_i| = |S_i x_i| = 1``,
-    ``|S_i - T_i/|T_i|| < s`` and ``|x_i - z_hat| < s``.  Implementations
-    self-check these distances and raise :class:`OracleViolation` rather
-    than return an invalid pair.
+    ``|S_i - T_i/|T_i|| < s`` and ``|x_i - z_hat| < s``.  The pipeline owns
+    the check of this contract: :func:`correct_operator_l1sum` runs
+    :meth:`_self_check` once on every pair an oracle returns and raises
+    :class:`OracleViolation` naming the component, so ``correct`` itself
+    does not re-check.
     """
 
     @abstractmethod
@@ -198,6 +200,9 @@ class EuclideanComponentOracle(ComponentBpbOracle):
     attaining set grows into a subspace; ``x_i`` is the normalized
     projection of ``z_hat`` onto that subspace.  The advertised modulus
     ``eta(s) = s^3/8`` makes the projection defect provably below s.
+    Raises :class:`OracleViolation` only when no pair can be built (a zero
+    restriction, or ``z_hat`` orthogonal to the lifted subspace); the
+    distances of the pair it returns are checked by the pipeline.
     """
 
     def eta(self, s: float) -> float:
@@ -225,14 +230,13 @@ class EuclideanComponentOracle(ComponentBpbOracle):
         if pn == 0.0:
             raise OracleViolation(
                 "z has no component in the lifted attaining subspace")
-        x_i = proj / pn
-        self._self_check(T_i, zv, s, S_i, x_i, "euclidean component oracle")
-        return S_i, x_i
+        return S_i, proj / pn
 
 
 class OneDimComponentOracle(ComponentBpbOracle):
     """Exact correction for one-dimensional components: normalize the
-    column and keep the input direction."""
+    column and keep the input direction (checked by the pipeline, like
+    every oracle's pair)."""
 
     def eta(self, s: float) -> float:
         return s ** 3 / 8.0
@@ -245,10 +249,7 @@ class OneDimComponentOracle(ComponentBpbOracle):
         tnorm = operator_norm(T_i).value
         if tnorm == 0.0:
             raise OracleViolation("the zero restriction cannot attain norm one")
-        S_i = Operator(T_i.matrix / tnorm, dom, cod)
-        x_i = dom.coerce(z_hat)
-        self._self_check(T_i, x_i, s, S_i, x_i, "one-dimensional oracle")
-        return S_i, x_i
+        return Operator(T_i.matrix / tnorm, dom, cod), dom.coerce(z_hat)
 
 
 def default_component_oracle(space: NormedSpace) -> ComponentBpbOracle:
@@ -347,8 +348,8 @@ def correct_operator_l1sum(components: list[NormedSpace], H: EuclideanSpace,
         z_hat = comp.unit(blocks[i])
         T_i = T.restrict_to_block(Z, i)
         S_i, x_i = oracles[i].correct(T_i, z_hat, s)
-        # Re-check the contract here: a broken oracle must surface as an
-        # OracleViolation naming the component, not as a downstream failure.
+        # The one check of the oracle contract: a broken oracle must surface
+        # as an OracleViolation naming the component, not downstream.
         oracles[i]._self_check(T_i, z_hat, s, S_i, x_i, f"component {i} oracle")
         corrected[i] = (S_i, x_i)
 

@@ -56,6 +56,15 @@ class NormedSpace(ABC):
         return np.complex128 if self.scalar_field == "complex" else np.float64
 
     def coerce(self, x) -> np.ndarray:
+        """``x`` as a fresh, writable length-``dim`` vector of the space's
+        dtype.  Lists, 0-d and ``(1, dim)`` input are flattened; ints are
+        cast; complex input on a real space must have zero imaginary part
+        (:class:`RangeError`); a wrong length raises
+        :class:`DimensionError`.  An ``np.ndarray`` that already has the
+        dtype and shape is copied without the general checks."""
+        if (type(x) is np.ndarray and x.dtype == self.dtype
+                and x.shape == (self.dim,)):
+            return x.copy()
         arr = np.asarray(x)
         if arr.shape == ():
             arr = arr.reshape(1)
@@ -70,7 +79,11 @@ class NormedSpace(ABC):
         return arr.astype(self.dtype)
 
     def coerce_rows(self, rows) -> np.ndarray:
-        """:meth:`coerce` for every row of an ``(n, dim)`` array at once."""
+        """:meth:`coerce` for every row of an ``(n, dim)`` array at once,
+        keeping the input's memory order (row sums depend on it)."""
+        if (type(rows) is np.ndarray and rows.dtype == self.dtype
+                and rows.ndim == 2 and rows.shape[1] == self.dim):
+            return rows.astype(self.dtype)
         arr = np.asarray(rows)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise DimensionError(
@@ -176,7 +189,11 @@ class EuclideanSpace(NormedSpace):
         self.scalar_field = scalar_field
 
     def norm(self, x) -> float:
-        return float(np.linalg.norm(self.coerce(x)))
+        arr = self.coerce(x)
+        if self.scalar_field == "complex":
+            return float(np.linalg.norm(arr))
+        # np.linalg.norm's arithmetic on a real vector, without its wrapper
+        return float(np.sqrt(arr.dot(arr)))
 
     def _row_norms(self, arr: np.ndarray) -> np.ndarray:
         if self.scalar_field == "complex":

@@ -10,6 +10,7 @@ from bpbkit.absolute import AbsoluteNorm2
 from bpbkit.ahsp import (
     AhspWitness,
     EtaPolicy,
+    UniformlyConvexAhspOracle,
     ahsp_oracle_for,
     direct_sum_space,
     direct_sum_witness,
@@ -23,6 +24,7 @@ from bpbkit.ahsp import (
 from bpbkit.bpb import ConvexSeries
 from bpbkit.certs import all_passed
 from bpbkit.errors import HypothesisError, InternalInvariantError, RangeError
+from bpbkit.harness import generate_ahsp_direct_sum_instance
 from bpbkit.spaces import EuclideanSpace, PlaneSpace
 
 L2GEN = AbsoluteNorm2.lp(2.0)
@@ -284,6 +286,29 @@ class TestDirectSumWitness:
         series = ConvexSeries(np.array([0.5, 0.5]), pts)
         with pytest.raises(HypothesisError):
             direct_sum_witness(self.M, self.N, L2GEN, series, 0.4)
+
+    @pytest.mark.parametrize("case", ["1", "2", "3"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oracle_may_drop_points(self, case, seed):
+        # witness_ball pairs the i-th face point with kept[i]; an oracle
+        # that keeps a subset must work in every branch
+        class DropLightest(UniformlyConvexAhspOracle):
+            def witness_ball(self, weights, points, functional, epsilon):
+                kept, faces, star = super().witness_ball(
+                    weights, points, functional, epsilon)
+                drop = int(np.argmin(weights))
+                keep = [i for i, j in enumerate(kept) if j != drop]
+                return (tuple(kept[i] for i in keep), [faces[i] for i in keep],
+                        star)
+
+        inst = generate_ahsp_direct_sum_instance(
+            {"f": "l2", "members": 8, "epsilon": 0.3, "case": case},
+            np.random.default_rng(seed))
+        M, N, series = inst["M"], inst["N"], inst["series"]
+        w = direct_sum_witness(M, N, inst["f"], series, 0.3,
+                               DropLightest(M), DropLightest(N))
+        assert len(w.indices) == 7
+        assert all_passed(verify_ahsp_witness(series, w))
 
 
 class TestRestrictWitness:

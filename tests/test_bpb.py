@@ -294,6 +294,36 @@ class TestCorrectionPipeline:
         with pytest.raises(ConfigError):
             default_component_oracle(PlaneSpace(AbsoluteNorm2.lp(1.0)))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_contract_checked_once_per_heavy_component(self, monkeypatch,
+                                                       dim, seed):
+        # the pipeline owns the oracle-contract check; the built-in
+        # oracles do not repeat it inside ``correct``
+        labels = []
+        check_pair = ComponentBpbOracle._self_check
+
+        def spy(self, T_i, z_hat, s, S_i, x_i, label):
+            labels.append(label)
+            return check_pair(self, T_i, z_hat, s, S_i, x_i, label)
+
+        monkeypatch.setattr(ComponentBpbOracle, "_self_check", spy)
+        rng = np.random.default_rng(seed)
+        comps = [EuclideanSpace(dim) for _ in range(3)]
+        H = EuclideanSpace(2)
+        space = DirectSumSpace(comps, LpLattice(3, 1.0))
+        # blocks 0 and 1 are equal and attain |T| at v; block 2 is shorter
+        # and carries no mass, so exactly blocks 0 and 1 are heavy
+        m = rng.standard_normal((2, 3 * dim))
+        m[:, dim:2 * dim] = m[:, :dim]
+        _, sv, vh = np.linalg.svd(m[:, :dim])
+        m[:, 2 * dim:] *= 0.5 * sv[0] / np.linalg.norm(m[:, 2 * dim:], 2)
+        T = Operator(m / sv[0], space, H)
+        z0 = np.concatenate([vh[0] / 2.0, vh[0] / 2.0, np.zeros(dim)])
+        corr = correct_operator_l1sum(comps, H, T, z0, 0.4)
+        assert corr.heavy_set == (0, 1)
+        assert labels == ["component 0 oracle", "component 1 oracle"]
+
 
 class TestVerifyBpbCorrection:
     def make_valid(self):
