@@ -74,9 +74,6 @@ class FiniteLattice(ABC):
     dim: int
 
     def _coerce(self, x) -> np.ndarray:
-        if (type(x) is np.ndarray and x.dtype == np.float64
-                and x.shape == (self.dim,)):
-            return x
         arr = np.asarray(x, dtype=float).reshape(-1)
         if arr.size != self.dim:
             raise DimensionError(
@@ -84,9 +81,6 @@ class FiniteLattice(ABC):
         return arr
 
     def _coerce_rows(self, rows) -> np.ndarray:
-        if (type(rows) is np.ndarray and rows.dtype == np.float64
-                and rows.ndim == 2 and rows.shape[1] == self.dim):
-            return rows
         arr = np.asarray(rows, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise DimensionError(

@@ -81,9 +81,6 @@ class NormedSpace(ABC):
     def coerce_rows(self, rows) -> np.ndarray:
         """:meth:`coerce` for every row of an ``(n, dim)`` array at once,
         keeping the input's memory order (row sums depend on it)."""
-        if (type(rows) is np.ndarray and rows.dtype == self.dtype
-                and rows.ndim == 2 and rows.shape[1] == self.dim):
-            return rows.astype(self.dtype)
         arr = np.asarray(rows)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise DimensionError(

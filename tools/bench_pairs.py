@@ -11,9 +11,12 @@ directions and their regression bounds come from this checkout's
 It prints one row per pair, then per metric: each side's median and
 quartiles, the pairs the change won (ties count for neither), the relative
 change of the medians against the metric's bound, and whether the gain rule
-holds.  The gain rule: the change wins at least nine tenths of the pairs,
-its median is better, the medians differ by more than the parent's
-interquartile range, and no larger share of its operations fails.
+holds.  The median's move is "unresolved" when the parent's interquartile
+range, relative to its median, is wider than the bound, unless every run
+of the change reads better than every run of the parent.  The gain rule:
+the change wins at least nine tenths of the pairs, its median is better,
+the medians differ by more than the parent's interquartile range, and no
+larger share of its operations fails.
 
     python3 tools/bench_pairs.py PARENT_ROOT --workload W --pairs N \\
         --seconds S --seed K
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -46,7 +50,9 @@ def verdict(parent: list[float], change: list[float], better: str,
     """The pair statistics of one metric: paired runs ``parent[i]`` and
     ``change[i]``; ``better`` is ``"higher"`` or ``"lower"``; ``bound`` is
     the relative worsening of the median the benchmark allows;
-    ``failed_*`` are each side's shares of failed operations."""
+    ``failed_*`` are each side's shares of failed operations (NaN, which
+    voids a gain, when a side attempted none).  ``bound`` in the result is
+    ``"within"``, ``"beyond"`` or ``"unresolved"``."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs per side")
     sign = 1.0 if better == "higher" else -1.0
@@ -57,10 +63,21 @@ def verdict(parent: list[float], change: list[float], better: str,
     rel = (cm - pm) / pm if pm else 0.0
     gain = (wins >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1
             and failed_change <= failed_parent)
+    every_run_better = min(sign * c for c in change) > max(
+        sign * p for p in parent)
+    if pm and (p3 - p1) / abs(pm) > bound and not every_run_better:
+        state = "unresolved"
+    else:
+        state = "within" if sign * rel >= -bound else "beyond"
     return {"pairs": len(parent), "wins": wins, "losses": losses,
             "parent": (p1, pm, p3), "change": (c1, cm, c3),
-            "parent_iqr": p3 - p1, "rel_change": rel,
-            "within_bound": sign * rel >= -bound, "gain": gain}
+            "parent_iqr": p3 - p1, "rel_change": rel, "bound": state,
+            "gain": gain}
+
+
+def failed_share(failed: int, attempted: int) -> float:
+    """The share of failed operations; NaN when none was attempted."""
+    return failed / attempted if attempted else math.nan
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float,
@@ -132,8 +149,8 @@ def main(argv=None) -> int:
         v = verdict([r[m["name"]] for r in runs["parent"]],
                     [r[m["name"]] for r in runs["change"]],
                     m["better"], m["bound"],
-                    failed["parent"] / attempted["parent"],
-                    failed["change"] / attempted["change"])
+                    failed_share(failed["parent"], attempted["parent"]),
+                    failed_share(failed["change"], attempted["change"]))
         p1, pm, p3 = v["parent"]
         c1, cm, c3 = v["change"]
         print(f"{m['name']} ({m['unit']}, {m['better']} is better): "
@@ -141,8 +158,8 @@ def main(argv=None) -> int:
               f"change {_fmt(cm)} [{_fmt(c1)}, {_fmt(c3)}]; "
               f"change won {v['wins']}/{v['pairs']}, lost {v['losses']}; "
               f"median {v['rel_change']:+.1%} "
-              f"({'within' if v['within_bound'] else 'beyond'} the "
-              f"{m['bound']:.0%} bound); gain rule "
+              f"({v['bound']} against the {m['bound']:.0%} bound); "
+              f"gain rule "
               f"{'holds' if v['gain'] else 'does not hold'}")
     return 0
 
