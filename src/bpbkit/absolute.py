@@ -223,12 +223,6 @@ class AbsoluteNorm2:
             raise RangeError("vertices exist only for polyhedral generators")
         return tuple(map(tuple, self._vertices.tolist()))
 
-    @property
-    def normalized(self) -> bool:
-        """Whether ``f(1, 0) = f(0, 1) = 1`` within 1e-9."""
-        return (abs(self.psi(0.0) - 1.0) <= 1e-9
-                and abs(self.psi(1.0) - 1.0) <= 1e-9)
-
     def psi(self, u: float) -> float:
         if u < -_NODE_TOL or u > 1.0 + _NODE_TOL:
             raise RangeError(f"generator argument must lie in [0, 1], got {u}")

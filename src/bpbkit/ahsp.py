@@ -490,7 +490,8 @@ ahp_oracle_uniformly_convex = UniformlyConvexAhspOracle
 
 
 class PolyhedralPlaneAhspOracle(_FaceOracle):
-    """Witnesses in a plane with a polyhedral generator.
+    """Witnesses in a plane whose lattice has a polyhedral generator (a
+    ``PlaneSpace`` or a lattice space over an ``Absolute2Lattice``).
 
     Faces are segments between sphere vertices; the face gap g bounds how
     far a unit vector with value above ``1 - theta`` can sit from the face
@@ -498,17 +499,17 @@ class PolyhedralPlaneAhspOracle(_FaceOracle):
     inside ``0.9 eps``.
     """
 
-    def __init__(self, space: PlaneSpace):
-        if space.generator.is_smooth:
+    def __init__(self, space: LatticeSpace):
+        if space.lattice.norm2.is_smooth:
             raise RangeError("use the uniformly convex oracle for smooth generators")
         self.space = space
-        self.gap = space.generator.face_gap()
+        self.gap = space.lattice.norm2.face_gap()
 
     def witness_ball(self, weights, points, functional, epsilon):
         """Raises :class:`RangeError` unless ``|functional|`` is within 1e-9
         (max-abs) of an extreme dual point: no ``eta_ball`` serves the
         functionals near but not at one, whose face gap tends to 0."""
-        extreme = np.array(self.space.generator.support_candidates())
+        extreme = np.array(self.space.lattice.norm2.support_candidates())
         gap = np.abs(extreme - np.abs(self.space.coerce(functional)))
         if not (gap.max(axis=1) <= 1e-9).any():
             raise RangeError("witness_ball on a polyhedral plane requires "
@@ -523,8 +524,10 @@ class PolyhedralPlaneAhspOracle(_FaceOracle):
 
 
 def ahsp_oracle_for(space: NormedSpace) -> AhspOracle:
-    """The built-in witness oracle matching the space's geometry."""
-    if space.kind == "absolute2" and not space.generator.is_smooth:
+    """The built-in witness oracle matching the space's geometry: the
+    polygon oracle for any space over a polyhedral plane lattice."""
+    lat = getattr(space, "lattice", None)  # None on euclidean and sum kinds
+    if isinstance(lat, Absolute2Lattice) and not lat.norm2.is_smooth:
         return PolyhedralPlaneAhspOracle(space)
     return UniformlyConvexAhspOracle(space)
 

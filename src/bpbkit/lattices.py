@@ -68,6 +68,18 @@ def _lp_norms(mags: np.ndarray, p: float) -> np.ndarray:
     return m * _row_reduce(np.add, (mags / scale) ** p) ** (1.0 / p)
 
 
+def _lp_norm(mags: np.ndarray, p: float) -> float:
+    """The p-norm of a vector of magnitudes, by numpy's reductions."""
+    if p == math.inf:
+        return float(mags.max())
+    if p == 1.0:
+        return float(mags.sum())
+    m = float(mags.max())
+    if m == 0.0:
+        return 0.0
+    return m * float(((mags / m) ** p).sum()) ** (1.0 / p)
+
+
 class FiniteLattice(ABC):
     """A norm on R^n with ``norm(x) = norm(|x|)``, monotone on the cone."""
 
@@ -158,21 +170,13 @@ class LpLattice(FiniteLattice):
         self._q = dual_exponent(self.p)
 
     def norm_of(self, x) -> float:
-        arr = np.abs(self._coerce(x))
-        if self.p == math.inf:
-            return float(arr.max())
-        if self.p == 1.0:
-            return float(arr.sum())
-        m = float(arr.max())
-        if m == 0.0:
-            return 0.0
-        return m * float(((arr / m) ** self.p).sum()) ** (1.0 / self.p)
+        return _lp_norm(np.abs(self._coerce(x)), self.p)
 
     def norms(self, rows) -> np.ndarray:
         return _lp_norms(np.abs(self._coerce_rows(rows)), self.p)
 
     def dual_norm_of(self, c) -> float:
-        return LpLattice(self.dim, self._q).norm_of(c)
+        return _lp_norm(np.abs(self._coerce(c)), self._q)
 
     def dual_norms(self, rows) -> np.ndarray:
         return _lp_norms(np.abs(self._coerce_rows(rows)), self._q)

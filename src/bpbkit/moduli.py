@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (NotUniformlyConvex, NotUniformlyMonotone, RangeError)
 from .lattices import (Absolute2Lattice, FiniteLattice, LpLattice,
                        WeightedL1Lattice)
-from .spaces import LatticeSpace, LpSpace, NormedSpace, PlaneSpace
+from .spaces import LatticeSpace, NormedSpace
 
 _ALPHA_FLOOR = 1e-9
 
@@ -365,7 +365,7 @@ def monotonicity_modulus(E, epsilon: float) -> float:
         raise RangeError(f"epsilon must lie in (0, 1), got {epsilon}")
     if isinstance(E, FiniteLattice):
         lattice = E
-    elif isinstance(E, (LpSpace, PlaneSpace, LatticeSpace)):
+    elif isinstance(E, LatticeSpace):
         lattice = E.lattice
     else:
         raise RangeError(f"expected a finite lattice, got {type(E).__name__}")

@@ -24,6 +24,7 @@ from bpbkit.ahsp import (
 from bpbkit.bpb import ConvexSeries
 from bpbkit.certs import all_passed
 from bpbkit.errors import HypothesisError, InternalInvariantError, RangeError
+from bpbkit.errors import WitnessSearchFailed
 from bpbkit.harness import generate_ahsp_direct_sum_instance
 from bpbkit.spaces import EuclideanSpace, PlaneSpace
 
@@ -391,3 +392,28 @@ class TestWitnessJson:
         parsed = json.loads(json.dumps(w.to_json()))
         back = witness_from_json(parsed)
         assert back.indices == w.indices
+
+
+class TestWitnessSearchFailed:
+    # The entry slack admits a series whose sum sits at most ``slack`` below
+    # 1 - eta, so neither failure site is blocked by the hypothesis check.
+    SPACES = [EuclideanSpace(2), PlaneSpace(L1GEN), PlaneSpace(TABLEGEN)]
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_no_point_above_the_face_threshold(self, space):
+        # |x| = 0.78 > 1 - eta - slack = 0.75, but 0.78 <= r = 1 - eta/eps
+        series = ConvexSeries(np.array([1.0]), np.array([[0.78, 0.0]]))
+        with pytest.raises(WitnessSearchFailed, match="face threshold 0.8") as exc:
+            finite_dim_witness(space, series, 0.5, 0.1, slack=0.15)
+        assert exc.value.residuals == {"max-value": 0.78}
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_kept_mass_below_one_minus_epsilon(self, space):
+        # the sum has norm 0.82 > 0.8, but only the first point (mass 0.4)
+        # clears r = 0.8, and the witness needs mass above 0.5
+        series = ConvexSeries(np.array([0.4, 0.6]),
+                              np.array([[1.0, 0.0], [0.7, 0.0]]))
+        with pytest.raises(WitnessSearchFailed, match="epsilon = 0.5") as exc:
+            finite_dim_witness(space, series, 0.5, 0.1, slack=0.1)
+        assert list(exc.value.residuals) == ["witness-mass"]
+        assert exc.value.residuals["witness-mass"] == pytest.approx(-0.1)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpbkit.absolute import AbsoluteNorm2
+from bpbkit.absolute import dual_exponent
 from bpbkit.errors import DegenerateInput, DimensionError, RangeError
 from bpbkit.lattices import (
     Absolute2Lattice,
@@ -236,3 +237,14 @@ class TestUnitAndParams:
     def test_unknown_kind_rejected(self):
         with pytest.raises(RangeError, match="unknown lattice kind"):
             lattice_from_params({"kind": "nope"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+       c=st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+                  min_size=1, max_size=5))
+def test_lp_dual_norm_is_the_conjugate_norm_bit_for_bit(p, c):
+    # zero vectors included: every coordinate may be drawn as 0.0
+    dual = LpLattice(len(c), p).dual_norm_of(c)
+    ref = LpLattice(len(c), dual_exponent(p)).norm_of(c)
+    assert np.float64(dual).tobytes() == np.float64(ref).tobytes()

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from bpbkit.cli import main
 from bpbkit.errors import ConfigError
 from bpbkit.harness import Scenario, run_scenario
+from bpbkit.util import canonical_json
 
 BAD_SCENARIOS = [
     ({"kind": "align", "params": {"trials": "x"}}, "trials"),
@@ -68,3 +70,36 @@ def test_numeric_strings_still_convert():
     assert loose.passed and strict.passed
     assert [t.to_json() for t in loose.trials] == [
         t.to_json() for t in strict.trials]
+
+
+NUMPY_PARAMS = [
+    ("align", {"trials": np.int64(2), "dim": np.int64(3)},
+     {"trials": 2, "dim": 3}),
+    ("correct_l1sum", {"trials": np.int32(2), "epsilon": np.float32(0.5),
+                       "h_dim": np.int64(2)},
+     {"trials": 2, "epsilon": 0.5, "h_dim": 2}),
+    ("moduli_curve",
+     {"modulus": "monotonicity", "epsilons": [np.float32(0.25), np.float64(0.5)],
+      "space": {"kind": "lattice", "dim": np.int64(3),
+                "params": {"lattice": {"kind": "weighted_l1",
+                                       "weights": np.array([1.0, 2.0, 0.5])}}}},
+     {"modulus": "monotonicity", "epsilons": [0.25, 0.5],
+      "space": {"kind": "lattice", "dim": 3,
+                "params": {"lattice": {"kind": "weighted_l1",
+                                       "weights": [1.0, 2.0, 0.5]}}}}),
+]
+
+
+@pytest.mark.parametrize("kind,numpy_params,plain_params", NUMPY_PARAMS)
+def test_numpy_params_give_the_bytes_of_plain_numbers(kind, numpy_params,
+                                                      plain_params):
+    # float32 values here are exact in binary, so they equal the plain floats
+    loose = run_scenario(Scenario(kind, numpy_params), 1)
+    plain = run_scenario(Scenario(kind, plain_params), 1)
+    assert plain.passed
+    assert loose.canonical_bytes() == plain.canonical_bytes()
+
+
+def test_canonical_json_names_what_it_cannot_write():
+    with pytest.raises(TypeError, match="not JSON-serializable"):
+        canonical_json({"a": object()})
