@@ -14,7 +14,8 @@ eps`` and ``|x0 - z0| < eps``:
    isometries, and the blocks are reassembled.
 
 Every bound the construction promises is re-verified numerically and
-returned as a certificate.
+returned as a certificate.  Where a check bounds an operator norm from
+above, a nonexact norm (a lower bound) reads as +inf, so it cannot pass.
 """
 
 from __future__ import annotations
@@ -154,14 +155,14 @@ def cascade_l1sum(epsilon: float, eta_component,
 class ComponentBpbOracle(ABC):
     """Corrects one component restriction to an exactly attaining pair.
 
-    Contract: given the restriction ``T_i`` (not necessarily of norm one), a
-    unit domain vector ``z_hat`` with ``|T_i z_hat| / |T_i| > 1 - eta(s)``,
-    and the parameter s, return ``(S_i, x_i)`` with ``|S_i| = |S_i x_i| = 1``,
-    ``|S_i - T_i/|T_i|| < s`` and ``|x_i - z_hat| < s``.  The pipeline owns
-    the check of this contract: :func:`correct_operator_l1sum` runs
-    :meth:`_self_check` once on every pair an oracle returns and raises
-    :class:`OracleViolation` naming the component, so ``correct`` itself
-    does not re-check.
+    Contract: given the normalized restriction ``T_hat = T_i/|T_i|``, which
+    has norm one, a unit domain vector ``z_hat`` with ``|T_hat z_hat| > 1 -
+    eta(s)``, and the parameter s, return ``(S_i, x_i)`` with ``|S_i| =
+    |S_i x_i| = 1``, ``|S_i - T_hat| < s`` and ``|x_i - z_hat| < s``.  The
+    pipeline measures each restriction once and owns the check of this
+    contract: :func:`correct_operator_l1sum` runs :meth:`_self_check` once
+    on every pair an oracle returns and raises :class:`OracleViolation`
+    naming the component, so ``correct`` itself does not re-check.
     """
 
     @abstractmethod
@@ -169,16 +170,15 @@ class ComponentBpbOracle(ABC):
         """The correction modulus: the hypothesis slack the oracle tolerates."""
 
     @abstractmethod
-    def correct(self, T_i: Operator, z_hat: np.ndarray,
+    def correct(self, T_hat: Operator, z_hat: np.ndarray,
                 s: float) -> tuple[Operator, np.ndarray]:
         ...
 
-    def _self_check(self, T_i: Operator, z_hat, s: float,
+    def _self_check(self, T_hat: Operator, z_hat, s: float,
                     S_i: Operator, x_i, label: str) -> None:
-        dom, cod = T_i.domain, T_i.codomain
-        tnorm = operator_norm(T_i).value
-        that = Operator(T_i.matrix / tnorm, dom, cod)
-        dist_op = operator_norm(Operator(S_i.matrix - that.matrix, dom, cod)).value
+        dom, cod = T_hat.domain, T_hat.codomain
+        dist_op = operator_norm(Operator(S_i.matrix - T_hat.matrix, dom,
+                                         cod)).upper
         dist_vec = dom.norm(dom.coerce(x_i) - dom.coerce(z_hat))
         attained = cod.norm(S_i.apply(x_i))
         failures = []
@@ -195,29 +195,27 @@ class ComponentBpbOracle(ABC):
 class EuclideanComponentOracle(ComponentBpbOracle):
     """Correction for Euclidean components by singular-value lifting.
 
-    All singular values of ``T_i/|T_i|`` within ``s/2`` of one are lifted to
-    one, which keeps the operator within ``s/2`` of the original while its
-    attaining set grows into a subspace; ``x_i`` is the normalized
-    projection of ``z_hat`` onto that subspace.  The advertised modulus
-    ``eta(s) = s^3/8`` makes the projection defect provably below s.
-    Raises :class:`OracleViolation` only when no pair can be built (a zero
-    restriction, or ``z_hat`` orthogonal to the lifted subspace); the
-    distances of the pair it returns are checked by the pipeline.
+    All singular values of the norm-one ``T_hat`` within ``s/2`` of one are
+    lifted to one, which keeps the operator within ``s/2`` of the original
+    while its attaining set grows into a subspace; ``x_i`` is the
+    normalized projection of ``z_hat`` onto that subspace.  The advertised
+    modulus ``eta(s) = s^3/8`` makes the projection defect provably below
+    s.  One singular value decomposition builds the pair.  Raises
+    :class:`OracleViolation` only when ``z_hat`` is orthogonal to the
+    lifted subspace; the distances of the pair it returns are checked by
+    the pipeline.
     """
 
     def eta(self, s: float) -> float:
         return s ** 3 / 8.0
 
-    def correct(self, T_i: Operator, z_hat: np.ndarray,
+    def correct(self, T_hat: Operator, z_hat: np.ndarray,
                 s: float) -> tuple[Operator, np.ndarray]:
-        dom, cod = T_i.domain, T_i.codomain
+        dom, cod = T_hat.domain, T_hat.codomain
         if dom.kind != "euclidean" or cod.kind != "euclidean":
             raise ConfigError("this oracle corrects euclidean pairs only")
         zv = dom.coerce(z_hat)
-        tnorm = operator_norm(T_i).value
-        if tnorm == 0.0:
-            raise OracleViolation("the zero restriction cannot attain norm one")
-        u, sv, vh = np.linalg.svd(T_i.matrix / tnorm)
+        u, sv, vh = np.linalg.svd(T_hat.matrix)
         kappa = s / 2.0
         lifted = sv >= 1.0 - kappa
         sv_new = np.where(lifted, 1.0, sv)
@@ -234,22 +232,18 @@ class EuclideanComponentOracle(ComponentBpbOracle):
 
 
 class OneDimComponentOracle(ComponentBpbOracle):
-    """Exact correction for one-dimensional components: normalize the
-    column and keep the input direction (checked by the pipeline, like
-    every oracle's pair)."""
+    """Exact correction for one-dimensional components: the normalized
+    column already attains its norm, so keep it and the input direction
+    (checked by the pipeline, like every oracle's pair)."""
 
     def eta(self, s: float) -> float:
         return s ** 3 / 8.0
 
-    def correct(self, T_i: Operator, z_hat: np.ndarray,
+    def correct(self, T_hat: Operator, z_hat: np.ndarray,
                 s: float) -> tuple[Operator, np.ndarray]:
-        dom, cod = T_i.domain, T_i.codomain
-        if dom.dim != 1:
+        if T_hat.domain.dim != 1:
             raise ConfigError("this oracle corrects one-dimensional components only")
-        tnorm = operator_norm(T_i).value
-        if tnorm == 0.0:
-            raise OracleViolation("the zero restriction cannot attain norm one")
-        return Operator(T_i.matrix / tnorm, dom, cod), dom.coerce(z_hat)
+        return T_hat, T_hat.domain.coerce(z_hat)
 
 
 def default_component_oracle(space: NormedSpace) -> ComponentBpbOracle:
@@ -330,11 +324,10 @@ def correct_operator_l1sum(components: list[NormedSpace], H: EuclideanSpace,
     y_star = H.norming_functional(tz)
     blocks = Z.split(zv)
     block_norms = [c.norm(b) for c, b in zip(Z.components, blocks)]
-    heavy = []
-    for i, (comp, b, bn) in enumerate(zip(Z.components, blocks, block_norms)):
-        ti_zi = T.restrict_to_block(Z, i).apply(b)
-        if float(np.real(np.dot(y_star, ti_zi))) > (1.0 - t) * bn:
-            heavy.append(i)
+    restrictions = [T.restrict_to_block(Z, i) for i in range(len(blocks))]
+    heavy = [i for i, (T_i, b, bn) in enumerate(zip(restrictions, blocks,
+                                                     block_norms))
+             if float(np.real(np.dot(y_star, T_i.apply(b)))) > (1.0 - t) * bn]
     if not heavy:
         raise InternalInvariantError(
             "no component exceeded the heavy threshold despite the hypothesis")
@@ -344,13 +337,16 @@ def correct_operator_l1sum(components: list[NormedSpace], H: EuclideanSpace,
 
     corrected: dict[int, tuple[Operator, np.ndarray]] = {}
     for i in heavy:
-        comp = Z.components[i]
-        z_hat = comp.unit(blocks[i])
-        T_i = T.restrict_to_block(Z, i)
-        S_i, x_i = oracles[i].correct(T_i, z_hat, s)
+        # The one measurement of the restriction: a heavy block has
+        # Re y*(T_i z_i) > 0, so T_i is not zero.
+        T_i = restrictions[i]
+        T_hat = Operator(T_i.matrix / operator_norm(T_i).value, T_i.domain, H)
+        z_hat = Z.components[i].unit(blocks[i])
+        S_i, x_i = oracles[i].correct(T_hat, z_hat, s)
         # The one check of the oracle contract: a broken oracle must surface
         # as an OracleViolation naming the component, not downstream.
-        oracles[i]._self_check(T_i, z_hat, s, S_i, x_i, f"component {i} oracle")
+        oracles[i]._self_check(T_hat, z_hat, s, S_i, x_i,
+                               f"component {i} oracle")
         corrected[i] = (S_i, x_i)
 
     i0 = min(heavy)
@@ -376,9 +372,8 @@ def correct_operator_l1sum(components: list[NormedSpace], H: EuclideanSpace,
             x0_blocks.append(np.zeros(comp.dim))
     x0 = Z.embed(x0_blocks)
 
-    dist_op = operator_norm(Operator(R.matrix - T.matrix, Z, H)).value
+    dist_op = operator_norm(Operator(R.matrix - T.matrix, Z, H)).upper
     dist_vec = Z.norm(x0 - zv)
-    r_norm = operator_norm(R)
     certs = (
         check("tail_mass_small", tail_mass, "<=", t, tol=1e-12),
         check("operator_moved_at_most_cascade", dist_op, "<=", r + s + t,
@@ -391,7 +386,8 @@ def correct_operator_l1sum(components: list[NormedSpace], H: EuclideanSpace,
         check("corrected_vector_unit", Z.norm(x0), "==", 1.0, tol=1e-9),
         check("corrected_norm_attained", H.norm(R.apply(x0)), "==", 1.0,
               tol=1e-9),
-        check("corrected_operator_unit", r_norm.value, "==", 1.0, tol=1e-9),
+        check("corrected_operator_unit", operator_norm(R).upper, "==", 1.0,
+              tol=1e-9),
     )
     ensure(certs)
     return BpbCorrection(R, x0, dist_op, dist_vec, cascade, tuple(heavy),
@@ -404,7 +400,7 @@ def verify_bpb_correction(instance: BpbInstance,
     T, eps = instance.T, instance.epsilon
     Z, H = T.domain, T.codomain
     S, u = correction.S, correction.u
-    dist_op = operator_norm(Operator(S.matrix - T.matrix, Z, H)).value
+    dist_op = operator_norm(Operator(S.matrix - T.matrix, Z, H)).upper
     return [
         check("input_vector_unit", Z.norm(instance.x), "==", 1.0, tol=1e-9),
         check("input_hypothesis", instance.hypothesis_value(), ">=",
@@ -412,7 +408,7 @@ def verify_bpb_correction(instance: BpbInstance,
         check("corrected_vector_unit", Z.norm(u), "==", 1.0, tol=1e-9),
         check("corrected_norm_attained", H.norm(S.apply(u)), "==", 1.0,
               tol=1e-8),
-        check("corrected_operator_unit", operator_norm(S).value, "==", 1.0,
+        check("corrected_operator_unit", operator_norm(S).upper, "==", 1.0,
               tol=1e-8),
         check("operator_moved_below_epsilon", dist_op, "<", eps),
         check("vector_moved_below_epsilon", Z.norm(Z.coerce(u) - Z.coerce(instance.x)),

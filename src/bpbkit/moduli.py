@@ -333,10 +333,10 @@ def convexity_modulus(space: NormedSpace, epsilon: float,
 # -- uniform monotonicity ---------------------------------------------------
 
 
-def _two_block_residual(lattice: FiniteLattice, epsilon: float,
-                        size_a: int) -> float:
-    """Largest norm retained off a subset carrying norm epsilon, for the
-    supported lattice kinds (their symmetry makes it depend only on sizes)."""
+def _two_block_residual(lattice: FiniteLattice, epsilon: float) -> float:
+    """Largest norm retained off a proper subset carrying norm epsilon, for
+    the supported lattice kinds of dimension at least two (for lp and
+    weighted l1 it does not depend on the subset)."""
     if isinstance(lattice, LpLattice):
         if lattice.p == math.inf:
             return 1.0
@@ -344,11 +344,11 @@ def _two_block_residual(lattice: FiniteLattice, epsilon: float,
     if isinstance(lattice, WeightedL1Lattice):
         return 1.0 - epsilon
     if isinstance(lattice, Absolute2Lattice):
+        # A = {first}: the largest second coordinate over unit pairs whose
+        # first is at least eps; A = {second} is the same on the swapped
+        # norm, and an asymmetric plane can retain more there.
         n = lattice.norm2
-        if size_a == 1:
-            # A = {first}: completion height over first coordinate >= eps.
-            return n.sup_height(epsilon)
-        return n.swapped().sup_height(epsilon)
+        return max(n.sup_height(epsilon), n.swapped().sup_height(epsilon))
     raise RangeError(f"unsupported lattice kind {type(lattice).__name__}")
 
 
@@ -357,8 +357,8 @@ def monotonicity_modulus(E, epsilon: float) -> float:
 
     Returns the largest alpha such that every nonnegative unit vector that
     carries norm more than ``epsilon`` on some subset retains norm less than
-    ``1 - alpha`` off that subset; computed by exact enumeration over
-    subsets with the per-kind two-block reduction.  Raises
+    ``1 - alpha`` off that subset; computed from the per-kind closed form
+    of the largest residual over proper subsets.  Raises
     :class:`NotUniformlyMonotone` when alpha is indistinguishable from zero.
     """
     if not 0.0 < epsilon < 1.0:
@@ -369,14 +369,8 @@ def monotonicity_modulus(E, epsilon: float) -> float:
         lattice = E.lattice
     else:
         raise RangeError(f"expected a finite lattice, got {type(E).__name__}")
-    worst = 0.0
-    for size_a in range(1, lattice.dim + 1):
-        if size_a == lattice.dim:
-            # Removing everything retains nothing.
-            continue
-        worst = max(worst, _two_block_residual(lattice, epsilon, size_a))
-    if lattice.dim == 1:
-        worst = 0.0
+    # a one-dimensional lattice has no proper subset to remove
+    worst = 0.0 if lattice.dim == 1 else _two_block_residual(lattice, epsilon)
     alpha = 1.0 - worst
     if alpha <= _ALPHA_FLOOR:
         raise NotUniformlyMonotone(

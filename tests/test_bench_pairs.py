@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +109,16 @@ def test_unpaired_runs_refused(verdict):
         verdict(PARENT, PARENT[:-1], "higher", 0.25)
     with pytest.raises(ValueError):
         verdict([], [], "higher", 0.25)
+
+
+def test_timed_run_reads_the_child_cpu(tool):
+    # a child that spins for about 0.3 s of CPU, then one that sleeps
+    spin = ("import time\nt = time.process_time()\n"
+            "while time.process_time() - t < 0.3:\n    pass\n")
+    proc, wall, cpu = tool.timed_run([sys.executable, "-c", spin])
+    assert proc.returncode == 0
+    assert 0.3 <= cpu <= wall + 0.05
+    proc, wall, cpu = tool.timed_run(
+        [sys.executable, "-c", "import time; time.sleep(0.5)"])
+    assert wall >= 0.5 and cpu < 0.5 * wall
+

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpbkit.bpb import (
+    BpbCorrection,
     BpbInstance,
     ComponentBpbOracle,
     ConvexSeries,
@@ -31,7 +32,8 @@ from bpbkit.errors import (
     RangeError,
 )
 from bpbkit.lattices import LpLattice
-from bpbkit.spaces import DirectSumSpace, EuclideanSpace, Operator, operator_norm
+from bpbkit.spaces import (DirectSumSpace, EuclideanSpace, LpSpace, Operator,
+                           operator_norm)
 
 
 def hilbert_convexity(r: float) -> float:
@@ -180,6 +182,23 @@ def euclidean_plane_instance(seed: int, epsilon: float):
     return components, H, space, T, z0
 
 
+def two_heavy_block_instance(dim: int, seed: int):
+    """Three ``dim``-dimensional blocks into the plane: blocks 0 and 1 are
+    equal and attain |T| at v; block 2 is shorter and carries no mass, so
+    exactly blocks 0 and 1 are heavy."""
+    rng = np.random.default_rng(seed)
+    comps = [EuclideanSpace(dim) for _ in range(3)]
+    H = EuclideanSpace(2)
+    space = DirectSumSpace(comps, LpLattice(3, 1.0))
+    m = rng.standard_normal((2, 3 * dim))
+    m[:, dim:2 * dim] = m[:, :dim]
+    _, sv, vh = np.linalg.svd(m[:, :dim])
+    m[:, 2 * dim:] *= 0.5 * sv[0] / np.linalg.norm(m[:, 2 * dim:], 2)
+    T = Operator(m / sv[0], space, H)
+    z0 = np.concatenate([vh[0] / 2.0, vh[0] / 2.0, np.zeros(dim)])
+    return comps, H, T, z0
+
+
 class TestCorrectionPipeline:
     def test_single_scalar_component_is_a_fixed_point(self):
         comps = [EuclideanSpace(1)]
@@ -308,21 +327,74 @@ class TestCorrectionPipeline:
             return check_pair(self, T_i, z_hat, s, S_i, x_i, label)
 
         monkeypatch.setattr(ComponentBpbOracle, "_self_check", spy)
-        rng = np.random.default_rng(seed)
-        comps = [EuclideanSpace(dim) for _ in range(3)]
-        H = EuclideanSpace(2)
-        space = DirectSumSpace(comps, LpLattice(3, 1.0))
-        # blocks 0 and 1 are equal and attain |T| at v; block 2 is shorter
-        # and carries no mass, so exactly blocks 0 and 1 are heavy
-        m = rng.standard_normal((2, 3 * dim))
-        m[:, dim:2 * dim] = m[:, :dim]
-        _, sv, vh = np.linalg.svd(m[:, :dim])
-        m[:, 2 * dim:] *= 0.5 * sv[0] / np.linalg.norm(m[:, 2 * dim:], 2)
-        T = Operator(m / sv[0], space, H)
-        z0 = np.concatenate([vh[0] / 2.0, vh[0] / 2.0, np.zeros(dim)])
+        comps, H, T, z0 = two_heavy_block_instance(dim, seed)
         corr = correct_operator_l1sum(comps, H, T, z0, 0.4)
         assert corr.heavy_set == (0, 1)
         assert labels == ["component 0 oracle", "component 1 oracle"]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_each_heavy_restriction_measured_once(self, monkeypatch, dim):
+        comps, H, T, z0 = two_heavy_block_instance(dim, 0)
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        corr = correct_operator_l1sum(comps, H, T, z0, 0.4)
+        assert corr.heavy_set == (0, 1)
+        # each of the 2 heavy blocks takes 3 full decompositions: |T_i|
+        # once, the oracle's lift of T_i/|T_i|, and the contract check of
+        # |S_i - T_i/|T_i||; then |R - T| and |R| take one per block (3
+        # blocks); the alignment of each heavy image takes singular values
+        # only
+        assert calls.count(True) == 2 * 3 + 2 * 3
+        assert calls.count(False) == 2
+
+    def test_lower_bound_never_read_as_an_upper_bound(self):
+        # On LpSpace(3, 3) +_1 R^1 every |.| over the sum is a lower bound
+        # (the lp block's is an ascent value), so the correction's distance
+        # and norm certificates cannot pass
+        comps = [LpSpace(3, 3.0), EuclideanSpace(1)]
+        H = EuclideanSpace(2)
+        space = DirectSumSpace(comps, LpLattice(2, 1.0))
+        T = Operator([[0.1, 0.0, 0.1, 0.6], [0.0, 0.1, 0.0, 0.8]], space, H)
+        z0 = np.array([0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(InternalInvariantError) as err:
+            correct_operator_l1sum(comps, H, T, z0, 0.4,
+                                   component_oracle=OneDimComponentOracle())
+        assert "operator_moved_at_most_cascade" in str(err.value)
+        assert "corrected_operator_unit" in str(err.value)
+        # the verifier: T itself attains at z0, but neither |T - T| nor |T|
+        # is bounded from above
+        correction = BpbCorrection(T, z0, 0.0, 0.0, None, (1,), 0.0)
+        certs = verify_bpb_correction(BpbInstance(T, z0, 0.4, 0.0),
+                                      correction)
+        failed = {c.name for c in certs if not c.passed}
+        assert failed == {"corrected_operator_unit",
+                          "operator_moved_below_epsilon"}
+
+    def test_oracle_check_refuses_a_lower_bound(self):
+        # one component, itself LpSpace(3, 3) +_1 R^1: an oracle that keeps
+        # the normalized restriction returns a true pair, but the check of
+        # |S_i - T_i/|T_i|| has only a lower bound, so it cannot pass
+        class KeepingOracle(ComponentBpbOracle):
+            def eta(self, s: float) -> float:
+                return s ** 3 / 8.0
+
+            def correct(self, T_hat, z_hat, s):
+                return T_hat, z_hat
+
+        inner = DirectSumSpace([LpSpace(3, 3.0), EuclideanSpace(1)],
+                               LpLattice(2, 1.0))
+        H = EuclideanSpace(2)
+        space = DirectSumSpace([inner], LpLattice(1, 1.0))
+        T = Operator([[0.1, 0.0, 0.1, 0.6], [0.0, 0.1, 0.0, 0.8]], space, H)
+        with pytest.raises(OracleViolation, match="component 0.*inf"):
+            correct_operator_l1sum([inner], H, T, [0.0, 0.0, 0.0, 1.0], 0.4,
+                                   component_oracle=KeepingOracle())
 
 
 class TestVerifyBpbCorrection:

@@ -251,6 +251,15 @@ class TestCli:
         data = json.loads(out.read_text())
         assert [s[0] for s in data["samples"]] == [0.5, 1.0]
 
+    def test_moduli_curve_monotonicity_csv_to_stdout(self, tmp_path, capsys):
+        # neither --csv nor --out: the CSV goes to stdout
+        space = write_json(tmp_path / "space.json", LpSpace(3, 2.0).to_json())
+        assert main(["moduli-curve", "--space", space, "--modulus",
+                     "monotonicity", "--epsilons", "0.6,0.8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["epsilon,value"] + [
+            f"{e!r},{1.0 - (1.0 - e ** 2) ** 0.5!r}" for e in (0.6, 0.8)]
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "absent.json")]) == 2
 

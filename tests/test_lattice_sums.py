@@ -29,7 +29,7 @@ from bpbkit.lattice_sums import (
     sampled_dual_norm,
 )
 from bpbkit.lattices import Absolute2Lattice, LpLattice, WeightedL1Lattice
-from bpbkit.spaces import EuclideanSpace, LpSpace
+from bpbkit.spaces import EuclideanSpace, LatticeSpace, LpSpace
 from bpbkit.util import TOL_SPHERE
 
 COMPONENTS = lambda: [EuclideanSpace(2), EuclideanSpace(3)]  # noqa: E731
@@ -221,6 +221,28 @@ class TestProfileOracle:
         series = ConvexSeries(np.array([1.0]), np.stack([[0.5, 0.6, 0.2]]))
         with pytest.raises(RangeError, match="unit"):
             o.witness(series, 0.3)
+
+    def test_mass_below_the_hypothesis_rejected(self):
+        # a sub-convex series of mass 0.5: |sum a_n x_n| = 0.5 is not above
+        # 1 - eta(0.3) = 0.73
+        o = NonnegAdditiveProfileOracle(LpSpace(2, 1.0), np.ones(2))
+        series = ConvexSeries(np.array([0.5]), np.stack([[0.5, 0.5]]),
+                              strict=False)
+        with pytest.raises(HypothesisError, match="entry hypothesis"):
+            o.witness(series, 0.3)
+
+    def test_ball_witness_keeps_every_point(self):
+        o = NonnegAdditiveProfileOracle(LatticeSpace(WeightedL1Lattice(
+            [1.0, 2.0])), np.array([1.0, 2.0]))
+        points = [[1, 0], [0.5, 0.25]]
+        kept, faces, functional = o.witness_ball([0.3, 0.7], points,
+                                                 [1, 2], 0.2)
+        assert kept == (0, 1)
+        for face, p in zip(faces, points):
+            assert face.dtype == np.float64
+            np.testing.assert_array_equal(face, p)
+        assert functional.dtype == np.float64
+        np.testing.assert_array_equal(functional, [1.0, 2.0])
 
     def test_default_oracle_dispatch(self):
         assert isinstance(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpbkit.errors import NotUniformlyConvex, NotUniformlyMonotone, RangeError
-from bpbkit.lattices import LpLattice, WeightedL1Lattice
+from bpbkit.lattices import Absolute2Lattice, LpLattice, WeightedL1Lattice
 from bpbkit.moduli import (
     ModulusCurve,
     _hanner_delta,
@@ -20,7 +20,7 @@ from bpbkit.moduli import (
     monotonicity_modulus,
     space_descriptor,
 )
-from bpbkit.spaces import EuclideanSpace, LpSpace, PlaneSpace
+from bpbkit.spaces import DirectSumSpace, EuclideanSpace, LpSpace, PlaneSpace
 from bpbkit.absolute import AbsoluteNorm2
 
 
@@ -71,6 +71,14 @@ class TestConvexityModulus:
     def test_flat_norms_brute_force_reports_zero(self):
         for p in (1.0, math.inf):
             assert convexity_modulus(LpSpace(2, p), 0.5) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("space,method", [
+        (LpSpace(1, 3.0), "closed_form"), (LpSpace(1, 3.0), "brute_force"),
+        (LpSpace(1, 1.0), "auto"), (EuclideanSpace(1), "brute_force")])
+    def test_one_dimensional_modulus_is_one(self, space, method):
+        # the only unit vectors are +-1, so separated pairs meet at 0
+        for eps in (0.1, 1.0, 2.0):
+            assert convexity_modulus(space, eps, method) == 1.0
 
     def test_epsilon_domain(self):
         for eps in (0.0, -0.5, 2.1):
@@ -188,6 +196,21 @@ class TestMonotonicityModulus:
             drop = 1.0 - lat.norm_of(x * np.array([0.0] + [1.0] * (dim - 1)))
             assert alpha == pytest.approx(drop, abs=1e-9)
 
+    @pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
+    def test_asymmetric_plane_against_a_sphere_sweep(self, eps):
+        # SKEW can retain more off its second coordinate than off its first;
+        # sweep the positive unit sphere and remove either singleton
+        lat = Absolute2Lattice(AbsoluteNorm2.from_table(
+            [(0.0, 1.0), (0.3, 0.8), (1.0, 1.0)]))
+        theta = np.linspace(0.0, math.pi / 2.0, 200_001)
+        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        pts /= lat.norms(pts)[:, None]
+        first, second = pts[:, 0], pts[:, 1]  # |e1| = |e2| = 1
+        retained = max(second[first > eps].max(), first[second > eps].max())
+        alpha = monotonicity_modulus(lat, eps)
+        assert alpha <= 1.0 - retained + 1e-12
+        assert alpha == pytest.approx(1.0 - retained, abs=1e-4)
+
     def test_max_lattice_not_uniformly_monotone(self):
         with pytest.raises(NotUniformlyMonotone):
             monotonicity_modulus(LpLattice(3, math.inf), 0.5)
@@ -250,3 +273,14 @@ class TestCurves:
         )
         assert space_descriptor(LpSpace(2, 3.0)) == "lp(3.0)^2"
         assert space_descriptor(LpLattice(3, 1.0)) == "lp(1.0)^3"
+
+    def test_space_descriptor_of_direct_sums(self):
+        inner = DirectSumSpace([EuclideanSpace(2), LpSpace(3, 1.5)],
+                               LpLattice(2, 1.0))
+        assert space_descriptor(inner) == (
+            "sum[lp(1.0)^2](euclidean[R]^2,lp(1.5)^3)")
+        outer = DirectSumSpace([EuclideanSpace(1), inner],
+                               Absolute2Lattice(AbsoluteNorm2.lp(2.5)))
+        assert space_descriptor(outer) == (
+            "sum[absolute2(lp)](euclidean[R]^1,"
+            "sum[lp(1.0)^2](euclidean[R]^2,lp(1.5)^3))")

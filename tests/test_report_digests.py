@@ -22,7 +22,7 @@ PINNED = {
     "ahsp_lattice_sum":
         "3e9309fe52c8cd39f0296150154e5a3db60b4183071114a352709e9afaa71792",
     "moduli_curve":
-        "ed760d232b733073e605d10601269174f4bf5e5c08eefd4525c2ed2245fa6537",
+        "5ddc77fb9ad0eacf26c2ea24232fd282a545b3bce3b1ea3b0b18d75b2f9134f7",
     "duality_check":
         "30b0d2cbb1d05e73ad623da85cce5434ab16d6188694568a7d3319b0111e2849",
 }

@@ -64,6 +64,16 @@ class TestNormsAndDuality:
                 sp.dual_norm(f), rel=1e-9
             )
 
+    def test_euclidean_space_is_self_dual(self):
+        # each dual map is its primal one, named in the class body
+        for dual, primal in (("dual_norm", "norm"), ("dual_norms", "norms"),
+                             ("attaining_vector", "norming_functional"),
+                             ("attaining_vectors", "norming_functionals")):
+            assert vars(EuclideanSpace)[dual] is vars(EuclideanSpace)[primal]
+        for field in ("real", "complex"):
+            with pytest.raises(DegenerateInput, match="attaining vector"):
+                EuclideanSpace(2, field).attaining_vector([0.0, 0.0])
+
     def test_complex_pairing_is_real_at_norming(self):
         sp = EuclideanSpace(2, scalar_field="complex")
         z = sp.coerce([1.0 + 1.0j, 0.3 - 0.2j])
@@ -174,6 +184,23 @@ class TestOperatorNorm:
         r = operator_norm(Operator(m, space, space))
         assert r.value == pytest.approx(2.0, abs=1e-9)
         assert r.method == "l1_sum_blocks"
+
+    def test_block_sum_exact_only_when_every_block_is(self):
+        # the R^1 column wins with 5, but the lp(3) block's value is an
+        # ascent lower bound, so its true norm might exceed 5
+        m = np.array([[0.3, -0.5, 0.2, 3.0], [0.4, 0.1, -0.6, 4.0]])
+        lp_sum = DirectSumSpace([LpSpace(3, 3.0), EuclideanSpace(1)],
+                                LpLattice(2, 1.0))
+        lp_block = operator_norm(Operator(m[:, :3], LpSpace(3, 3.0),
+                                          EuclideanSpace(2)))
+        assert lp_block.method == "ascent" and lp_block.value < 1.0
+        r = operator_norm(Operator(m, lp_sum, EuclideanSpace(2)))
+        assert (r.method, r.value, r.exact) == ("l1_sum_blocks", 5.0, False)
+        assert r.upper == math.inf
+        l2_sum = DirectSumSpace([EuclideanSpace(3), EuclideanSpace(1)],
+                                LpLattice(2, 1.0))
+        r = operator_norm(Operator(m, l2_sum, EuclideanSpace(2)))
+        assert (r.value, r.exact) == (5.0, True) and r.upper == 5.0
 
     def test_ascent_fallback_upper_and_witness_agree(self):
         op = Operator(np.array([[1.0, 1.0], [0.0, 1.0]]), LpSpace(2, 3.0), LpSpace(2, 3.0))

@@ -8,7 +8,10 @@ temporary directory outside both checkouts.  The end-to-end metrics, their
 directions and their regression bounds come from this checkout's
 ``BENCHMARK.json``.
 
-It prints one row per pair, then per metric: each side's median and
+It prints one row per pair, with each run's CPU seconds (user plus
+system, from ``resource.getrusage`` of the finished child) and its share of
+the run's wall time beside the metrics, so a pair whose sides got unequal
+CPU shows.  Then, per metric, it prints each side's median and
 quartiles, the pairs the change won (ties count for neither), the relative
 change of the medians against the metric's bound, and whether the gain rule
 holds.  The median's move is "unresolved" when the parent's interquartile
@@ -27,10 +30,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
@@ -80,10 +85,28 @@ def failed_share(failed: int, attempted: int) -> float:
     return failed / attempted if attempted else math.nan
 
 
+def children_cpu_seconds() -> float:
+    """User plus system CPU seconds of this process's waited-for
+    children so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def timed_run(cmd: list[str], **kwargs):
+    """``subprocess.run(cmd, **kwargs)``; the finished process, its wall
+    seconds and its CPU seconds (those of its waited-for descendants
+    included)."""
+    cpu0, t0 = children_cpu_seconds(), time.perf_counter()
+    proc = subprocess.run(cmd, **kwargs)
+    wall = time.perf_counter() - t0
+    return proc, wall, children_cpu_seconds() - cpu0
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float,
              out: Path) -> dict:
-    """One ``bench/run.py`` run in ``root``; its result record."""
-    proc = subprocess.run(
+    """One ``bench/run.py`` run in ``root``: its result record, with the
+    run's ``cpu_s`` and ``cpu_share`` (CPU over wall seconds) added."""
+    proc, wall, cpu = timed_run(
         [sys.executable, str(root / "bench" / "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds),
          "--out", str(out)],
@@ -92,7 +115,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float,
         err = proc.stderr.strip().splitlines()
         raise RuntimeError(f"bench/run.py in {root} exited with "
                            f"{proc.returncode}: {err[-1] if err else ''}")
-    return json.loads(out.read_text(encoding="utf-8"))["results"][0]
+    record = json.loads(out.read_text(encoding="utf-8"))["results"][0]
+    return {**record, "cpu_s": cpu, "cpu_share": cpu / wall}
 
 
 def _fmt(x: float) -> str:
@@ -121,10 +145,10 @@ def main(argv=None) -> int:
 
     sides = {"parent": parent_root, "change": HERE}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    names = [m["name"] for m in metrics]
+    columns = [m["name"] for m in metrics] + ["failed", "cpu_s", "cpu_share"]
     print("| pair | first | " + " | ".join(
-        f"parent `{n}` | change" for n in names + ["failed"]) + " |")
-    print("|" + " --- |" * (2 + 2 * (len(names) + 1)))
+        f"parent `{n}` | change" for n in columns) + " |")
+    print("|" + " --- |" * (2 + 2 * len(columns)))
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         for pair in range(1, args.pairs + 1):
             order = (("parent", "change") if pair % 2
@@ -134,7 +158,7 @@ def main(argv=None) -> int:
                 runs[side].append(run_once(sides[side], args.workload,
                                            args.seed, args.seconds, out))
             cells = []
-            for n in names + ["failed"]:
+            for n in columns:
                 cells += [_fmt(runs[s][-1][n]) for s in ("parent", "change")]
             print(f"| {pair} | {order[0]} | " + " | ".join(cells) + " |",
                   flush=True)
