@@ -156,10 +156,12 @@ def build_norming_element(Z: DirectSumSpace, z, epsilon: float) -> NormingElemen
     one-norming-set construction prescribes.
 
     ``e*`` norms the block-norm profile in the Köthe dual; each nonzero
-    block contributes its exact norming functional (within the per-index
-    slack ``epsilon / ((e*_k + 1) 2^k)``) and each zero block the zero
-    functional, both from :meth:`DirectSumSpace.block_normings`; the
-    aligning scalars are trivial for real scalars.
+    block contributes its exact norming functional and each zero block the
+    zero functional, both from :meth:`DirectSumSpace.block_normings`; the
+    aligning scalars are trivial for real scalars.  Each of the ``m``
+    blocks may fall short of its norm by the slack
+    ``epsilon / (2 m (e*_k + 1))``, so the ``e*``-weighted shortfall stays
+    at most ``epsilon / 2`` however many blocks there are.
     """
     if epsilon <= 0.0:
         raise RangeError(f"epsilon must be positive, got {epsilon}")
@@ -169,9 +171,10 @@ def build_norming_element(Z: DirectSumSpace, z, epsilon: float) -> NormingElemen
     total = Z.combiner.norm_of(prof)
     funcs = Z.split(funcs)
     slack_excess = -math.inf
+    share = epsilon / (2.0 * len(Z.components))
     for k, (comp, b, fk) in enumerate(zip(Z.components, Z.split(zv), funcs)):
         gap = prof[k] - float(np.real(comp.pairing(fk, b)))
-        budget = epsilon / ((float(e_star[k]) + 1.0) * 2.0 ** (k + 1))
+        budget = share / (float(e_star[k]) + 1.0)
         slack_excess = max(slack_excess, gap - budget)
     assembled = Z.embed([float(e) * fk for e, fk in zip(e_star, funcs)])
     value = float(np.real(Z.pairing(assembled, zv)))

@@ -178,6 +178,30 @@ def test_l1_sum_correction_battery():
     assert elapsed < budget
 
 
+def test_one_dimensional_codomain_correction_battery():
+    # delta_H = 1 on a one-dimensional H, so s is 0.9 eps/4, not floored
+    budget, seeds = 20.0, 100
+    start = time.perf_counter()
+    runs = failed = errors = 0
+    for epsilon in (0.1, 0.2, 0.5):
+        scenario = Scenario("correct_l1sum", {"epsilon": epsilon, "h_dim": 1})
+        for seed in range(seeds):
+            for trial in run_scenario(scenario, seed).trials:
+                runs += 1
+                errors += len(trial.errors)
+                failed += sum(not c.passed for c in trial.certificates)
+    elapsed = time.perf_counter() - start
+    ok = runs == 3 * seeds and failed == errors == 0 and elapsed < budget
+    report_line(
+        "sum-domain correction into a one-dimensional H",
+        ok,
+        f"{runs} trials over epsilon in (0.1, 0.2, 0.5), {failed} failed "
+        f"certificates, {errors} errors, {elapsed:.1f}s",
+    )
+    assert runs == 3 * seeds
+    assert failed == 0 and errors == 0
+    assert elapsed < budget
+
 def test_direct_sum_witness_battery():
     budget, per_norm = 120.0, 1000
     norms = ("l1", "l2", "l3", "table")
@@ -330,6 +354,32 @@ def test_lattice_sum_witness_battery():
     assert worst_value_dev <= 1e-8
     assert elapsed < budget
 
+
+def test_many_component_lattice_sum_battery():
+    # each block's norming slack is eps'/(2m(e*_k + 1)), which stays above
+    # the rounding residue of the block gaps at every m
+    budget = 30.0
+    start = time.perf_counter()
+    runs = failed = errors = 0
+    for m, p, epsilon in itertools.product((100, 300), (1.0, 2.0, 3.0),
+                                           (0.1, 0.3)):
+        scenario = Scenario("ahsp_lattice_sum", {
+            "trials": 2, "p": p, "epsilon": epsilon, "num_components": m})
+        for trial in run_scenario(scenario, 2).trials:
+            runs += 1
+            errors += len(trial.errors)
+            failed += sum(not c.passed for c in trial.certificates)
+    elapsed = time.perf_counter() - start
+    ok = runs == 24 and failed == errors == 0 and elapsed < budget
+    report_line(
+        "lattice-sum witnesses with 100 and 300 components",
+        ok,
+        f"{runs} trials over p in (1, 2, 3) and epsilon in (0.1, 0.3), "
+        f"{failed} failed certificates, {errors} errors, {elapsed:.1f}s",
+    )
+    assert runs == 24
+    assert failed == 0 and errors == 0
+    assert elapsed < budget
 
 def test_moduli_oracle_battery():
     budget = 30.0

@@ -137,6 +137,12 @@ class TestCascade:
         assert cascade.t == pytest.approx(t, rel=1e-12)
         assert not cascade.s_floored and not cascade.t_floored
 
+    @pytest.mark.parametrize("eps", [0.1, 0.2, 0.5])
+    def test_one_dimensional_codomain_binds_s_at_eps(self, eps):
+        # delta_H = 1 on R^1, so only eps/4 bounds s
+        c = cascade_l1sum(eps, lambda s: s / 2.0, EuclideanSpace(1))
+        assert c.s == 0.9 * (eps / 4.0) and not c.s_floored
+
     def test_shrinks_with_epsilon(self):
         prev = None
         for eps in (0.8, 0.4, 0.2, 0.1):

@@ -207,6 +207,21 @@ def test_euclidean_norm_is_linalg_norm_bit_for_bit(values, imag):
     assert np.float64(got).tobytes() == np.linalg.norm(z).tobytes()
 
 
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_euclidean_norm_of_normal_vectors_is_linalg_norm_bit_for_bit(dim):
+    # seeded ordinary vectors, where a row fold's summation order rounds
+    # differently from np.linalg.norm's on hundreds of them per length
+    rng = np.random.default_rng(0)
+    real = rng.standard_normal((2000, dim))
+    cplx = rng.standard_normal((2000, dim)) + 1j * rng.standard_normal(
+        (2000, dim))
+    for field, rows in (("real", real), ("complex", cplx)):
+        space = EuclideanSpace(dim, field)
+        got = np.array([space.norm(x) for x in rows])
+        want = np.array([np.linalg.norm(x) for x in rows])
+        assert got.tobytes() == want.tobytes(), field
+
+
 @pytest.mark.parametrize("x", [[5e-324], [5e-324, -5e-324, 1e-310],
                                [1e-160, 1e-160], [1e200, 1e200],
                                [1.7e308, 1.0], [-3.0, 4.0], [0.0, -0.0]])

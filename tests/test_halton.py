@@ -1,81 +1,20 @@
-"""The brute-force estimator's sample points: numpy-built Owen-scrambled
-Halton directions, bit for bit scipy's, without importing scipy.stats; and
-face witnesses without importing scipy at all."""
+"""The brute-force estimator's sample points, and moduli and face witnesses
+that run without importing scipy."""
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import sys
 import textwrap
 
-import numpy as np
-import pytest
-
 import bpbkit
-from bpbkit.moduli import _halton_directions, _ndtri
-
-DIMS = list(range(1, 17)) + [200]
-COUNTS = (1, 2, 3, 10, 200, 400, 1000, 4097)
+from bpbkit.moduli import _sample_directions
 
 
-def _bits(arr: np.ndarray) -> np.ndarray:
-    """The IEEE bit patterns, so -0.0 and 0.0 (and NaN payloads) differ."""
-    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
-
-
-@pytest.mark.parametrize("dim", DIMS)
-def test_halton_directions_equal_scipy_bit_for_bit(dim):
-    norm = pytest.importorskip("scipy.stats").norm
-    qmc = pytest.importorskip("scipy.stats.qmc")
-    for count in COUNTS:
-        u = qmc.Halton(d=dim, scramble=True, seed=1234).random(count)
-        ref = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
-        got = _halton_directions(dim, count)
-        assert got.shape == (count, dim)
-        assert np.array_equal(_bits(got), _bits(ref)), (dim, count)
-
-
-def test_halton_directions_are_cached_and_read_only():
-    first = _halton_directions(3, 10)
-    assert _halton_directions(3, 10) is first
+def test_sample_directions_are_cached_and_read_only():
+    first = _sample_directions(3, 10)
+    assert _sample_directions(3, 10) is first
     assert not first.flags.writeable
-
-
-def _ndtri_inputs() -> np.ndarray:
-    """Inputs over every branch of Cephes ndtri: the central interval, both
-    tails on either side of x = 8 (1 - y, resp. y, below exp(-32)),
-    subnormals and the endpoints."""
-    rng = np.random.default_rng(20170828)
-    exp_m2, exp_m32 = math.exp(-2.0), math.exp(-32.0)
-    ys = np.concatenate([
-        rng.uniform(exp_m2, 1.0 - exp_m2, 40_000),
-        np.exp(-rng.uniform(2.0, 32.0, 20_000)),
-        np.exp(-rng.uniform(32.0, 745.0, 20_000)),
-        1.0 - np.exp(-rng.uniform(2.0, 32.0, 20_000)),
-        1.0 - 2.0 ** -np.arange(47, 54),
-        np.nextafter(exp_m2, [0.0, 1.0]),
-        np.nextafter(1.0 - exp_m2, [0.0, 1.0]),
-        np.nextafter(exp_m32, [0.0, 1.0]),
-        [0.0, 1.0, 0.5, 5e-324, 2.5e-310, 1e-300, 1e-12, 1.0 - 1e-12],
-    ])
-    low = np.minimum(ys, 1.0 - ys)
-    assert (low > exp_m2).sum() >= 10_000
-    assert ((ys < exp_m2) & (ys >= exp_m32)).sum() >= 10_000
-    assert ((ys < exp_m32) & (ys > 0.0)).sum() >= 10_000
-    assert (ys > 1.0 - exp_m2).sum() >= 10_000
-    assert ((ys < 1.0) & (1.0 - ys < exp_m32)).sum() >= 5
-    assert len(ys) >= 100_000
-    return ys
-
-
-def test_ndtri_equals_scipy_special_bit_for_bit():
-    special = pytest.importorskip("scipy.special")
-    ys = _ndtri_inputs()
-    got = _ndtri(ys)
-    assert np.array_equal(_bits(got), _bits(special.ndtri(ys)))
-    assert got[ys == 0.0].tolist() == [-math.inf]
-    assert got[ys == 1.0].tolist() == [math.inf]
 
 
 def test_brute_force_moduli_import_no_scipy_stats():

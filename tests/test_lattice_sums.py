@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from bpbkit.absolute import AbsoluteNorm2
-from bpbkit.ahsp import ahp_oracle_uniformly_convex, verify_ahsp_witness
+from bpbkit.ahsp import (UniformlyConvexAhspOracle, ahp_oracle_uniformly_convex,
+                         verify_ahsp_witness)
 from bpbkit.bpb import ConvexSeries
 from bpbkit.certs import all_passed
 from bpbkit.errors import (
@@ -284,6 +285,21 @@ class TestPolicy:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(RangeError):
                 lattice_sum_policy(Z, bad, comp_ahp, E_oracle)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.1, 0.3])
+    def test_policy_does_not_depend_on_the_number_of_components(self, p, eps):
+        # the theorem's parameters are uniform in m, so a sequence lattice
+        # gets the same policy as its three-component sections
+        policies = []
+        for m in (3, 30, 100, 300):
+            comps = [EuclideanSpace(2) for _ in range(m)]
+            E = LpLattice(m, p)
+            policies.append(lattice_sum_policy(
+                lattice_sum_space(E, comps),
+                eps, [UniformlyConvexAhspOracle(c) for c in comps],
+                default_profile_oracle(E)))
+        assert all(pol == policies[0] for pol in policies[1:])
 
     def test_flat_lattice_has_no_monotonicity_modulus(self):
         comps = COMPONENTS()

@@ -20,7 +20,8 @@ from bpbkit.moduli import (
     monotonicity_modulus,
     space_descriptor,
 )
-from bpbkit.spaces import DirectSumSpace, EuclideanSpace, LpSpace, PlaneSpace
+from bpbkit.spaces import (DirectSumSpace, EuclideanSpace, LatticeSpace,
+                           LpSpace, PlaneSpace)
 from bpbkit.absolute import AbsoluteNorm2
 
 
@@ -80,6 +81,15 @@ class TestConvexityModulus:
         for eps in (0.1, 1.0, 2.0):
             assert convexity_modulus(space, eps, method) == 1.0
 
+    @pytest.mark.parametrize("space", [
+        EuclideanSpace(1), EuclideanSpace(1, "complex"), LpSpace(1, 1.0),
+        LpSpace(1, 1.5), LpSpace(1, math.inf), LatticeSpace(LpLattice(1, 3.0)),
+        DirectSumSpace([EuclideanSpace(1)], LpLattice(1, 2.0))])
+    def test_every_one_dimensional_space_has_modulus_one(self, space):
+        for method in ("auto", "closed_form", "brute_force"):
+            for eps in (0.1, 0.5, 1.0, 2.0):
+                assert convexity_modulus(space, eps, method) == 1.0
+
     def test_epsilon_domain(self):
         for eps in (0.0, -0.5, 2.1):
             with pytest.raises(RangeError):
@@ -112,6 +122,40 @@ class TestConvexityModulus:
         assert 0.0 <= value <= 1.0
         curve = convexity_curve(LpSpace(2, 1.0), [0.5], resolution=resolution)
         assert curve.samples == ((0.5, value),)
+
+
+TABLE = AbsoluteNorm2.from_table([(0.0, 1.0), (0.5, 10.0 / 11.0), (1.0, 1.0)])
+
+
+class TestBruteForceAccuracy:
+    """The estimator on its sampled directions against the closed forms, at
+    the sample counts the benchmark's moduli units use."""
+
+    def test_lp_plane_within_1e_5_at_400_samples(self):
+        worst = 0.0
+        for p in np.linspace(2.5, 4.0, 7):
+            space = LpSpace(2, float(p))
+            for eps in np.linspace(0.3, 1.0, 8):
+                brute = convexity_modulus(space, float(eps),
+                                          method="brute_force", resolution=400)
+                worst = max(worst, abs(brute - _hanner_delta(p, eps)))
+        assert worst <= 1e-5
+
+    def test_lp3_lattice_within_5e_3_at_200_samples(self):
+        space = LatticeSpace(LpLattice(3, 3.0))
+        for eps in np.linspace(0.1, 1.99, 40):
+            brute = convexity_modulus(space, float(eps), method="brute_force",
+                                      resolution=200)
+            closed = 1.0 - (1.0 - (eps / 2.0) ** 3) ** (1.0 / 3.0)
+            assert brute == pytest.approx(closed, abs=5e-3), eps
+
+    @pytest.mark.parametrize("space", [PlaneSpace(TABLE),
+                                       LatticeSpace(LpLattice(3, 3.0))])
+    def test_curve_is_non_decreasing_at_200_samples(self, space):
+        values = [convexity_modulus(space, float(eps), method="brute_force",
+                                    resolution=200)
+                  for eps in np.linspace(0.3, 1.8, 60)]
+        assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
 def _hanner_delta_200_steps(p, eps):
