@@ -12,7 +12,8 @@ deterministic brute-force estimator (low-discrepancy sphere sampling with
 chord-length refinement) covers everything else and doubles as the
 independent check of the closed forms.  Its sample points are a Kronecker
 sequence on the generalised golden ratio, mapped to normal deviates by
-Box-Muller.  Every one-dimensional space has modulus 1 whatever the method.
+Box-Muller.  The real line has the ball modulus eps/2 by every method;
+from dimension two on, the sphere and ball moduli agree.
 Both bisections stop at their floating-point fixed point, where further
 steps cannot change a bit, and keep their step count only as a cap.
 """
@@ -117,23 +118,23 @@ def _hanner_delta(p: float, eps: float) -> float:
 def _sample_directions(dim: int, count: int) -> np.ndarray:
     """Low-discrepancy direction samples: the first ``count`` points of
     Roberts' Kronecker sequence ``frac(1/2 + n alpha)``, n = 1, 2, ..., in
-    ``[0, 1)^d`` with ``alpha_k = phi^-k`` and ``phi^(d+1) = phi + 1``, made
-    normal by Box-Muller on coordinate pairs; ``d`` is ``dim`` rounded up to
-    even, and an odd ``dim`` drops the last deviate.  The output is a
-    function of ``(dim, count)``, so it is cached and returned read-only."""
-    d = dim + dim % 2
+    ``[0, 1)^dim`` with ``alpha_k = phi^-k`` and ``phi^(dim+1) = phi + 1``,
+    made normal by Box-Muller on coordinate pairs; ``dim`` is even.  They
+    suit low dimensions: as ``dim`` grows, ``phi`` nears 1 and the first
+    points crowd near one curve, so on lp(50, 3) (``dim`` 100) 1000 samples
+    find the same worst depth as 200, 7e-2 above the closed form.  The
+    output, a function of ``(dim, count)``, is cached and read-only."""
     phi = 2.0
     for _ in range(40):  # a contraction by at most 1/5: 40 steps settle it
-        phi = (1.0 + phi) ** (1.0 / (d + 1))
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
     n = np.arange(1.0, count + 1.0)[:, None]
-    u = np.clip((0.5 + n * phi ** -np.arange(1.0, d + 1)) % 1.0,
+    u = np.clip((0.5 + n * phi ** -np.arange(1.0, dim + 1)) % 1.0,
                 1e-12, 1.0 - 1e-12)
     radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
     angle = 2.0 * math.pi * u[:, 1::2]
-    z = np.empty((count, d))
+    z = np.empty((count, dim))
     z[:, 0::2] = radius * np.cos(angle)
     z[:, 1::2] = radius * np.sin(angle)
-    z = z[:, :dim]
     z.flags.writeable = False
     return z
 
@@ -142,8 +143,8 @@ def _brute_force_convexity(space: NormedSpace, eps: float,
                            resolution: int = 1000) -> float:
     """Estimator: sample unit pairs from the directions of
     :func:`_sample_directions`, slide one endpoint along the sphere to chord
-    length exactly eps, and take the worst midpoint depth.  The space has
-    dimension at least two; :func:`convexity_modulus` answers dimension one.
+    length exactly eps, and take the worst midpoint depth.  The line never
+    reaches here: :func:`convexity_modulus` answers dimension one.
 
     All (pair, +-target) rows bisect together, each norm evaluation one
     ``space.norms`` call over every row.  Once every row's midpoint rounds
@@ -212,18 +213,20 @@ def convexity_modulus(space: NormedSpace, epsilon: float,
     :class:`NotUniformlyConvex` for lp(1)/lp(inf); ``"brute_force"`` runs the
     sampling estimator on any kind; ``"auto"`` prefers the closed form and
     falls back to brute force.  ``resolution``, the number of sampled pairs,
-    must be an integer >= 1 whichever method runs.  A one-dimensional space
-    has modulus 1 by every method.
+    must be an integer >= 1 whichever method runs.  A real one-dimensional
+    space has modulus ``epsilon / 2`` by every method: the only unit vectors
+    are +-1, but the ball holds ``x = 1, y = 1 - epsilon``, whose midpoint
+    sits ``epsilon / 2`` deep.  The complex line is the real plane, which
+    real directions cannot sample, so every method gives its closed form.
     """
     if not 0.0 < epsilon <= 2.0:
         raise RangeError(f"epsilon must lie in (0, 2], got {epsilon}")
     _check_resolution(resolution)
     if method not in ("auto", "closed_form", "brute_force"):
         raise RangeError(f"unknown method {method!r}")
-    if space.dim == 1:
-        # The only unit pairs are +-1; separated pairs have midpoint 0.
-        return 1.0
-    if method != "brute_force" and _has_closed_form(space):
+    if space.dim == 1 and space.scalar_field == "real":
+        return epsilon / 2.0
+    if (method != "brute_force" or space.dim == 1) and _has_closed_form(space):
         if space.kind == "euclidean":
             return 1.0 - math.sqrt(max(0.0, 1.0 - epsilon ** 2 / 4.0))
         return _hanner_delta(space.p, epsilon)

@@ -179,7 +179,7 @@ def test_l1_sum_correction_battery():
 
 
 def test_one_dimensional_codomain_correction_battery():
-    # delta_H = 1 on a one-dimensional H, so s is 0.9 eps/4, not floored
+    # delta_H(r) = r/2 on a one-dimensional H, so s is not floored
     budget, seeds = 20.0, 100
     start = time.perf_counter()
     runs = failed = errors = 0

@@ -138,10 +138,10 @@ class TestCascade:
         assert not cascade.s_floored and not cascade.t_floored
 
     @pytest.mark.parametrize("eps", [0.1, 0.2, 0.5])
-    def test_one_dimensional_codomain_binds_s_at_eps(self, eps):
-        # delta_H = 1 on R^1, so only eps/4 bounds s
+    def test_one_dimensional_codomain_binds_s_at_its_ball_modulus(self, eps):
+        # delta_H(r) = r/2 on R^1, the ball modulus, so s is not floored
         c = cascade_l1sum(eps, lambda s: s / 2.0, EuclideanSpace(1))
-        assert c.s == 0.9 * (eps / 4.0) and not c.s_floored
+        assert c.s == 0.9 * (c.r / 2.0 / 3.0) and not c.s_floored
 
     def test_shrinks_with_epsilon(self):
         prev = None
@@ -257,6 +257,29 @@ class TestCorrectionPipeline:
         assert corr.dist_op <= corr.cascade.r + corr.cascade.s + corr.cascade.t + 1e-9
         assert corr.dist_vec <= 2.0 * corr.cascade.t + corr.cascade.s + 1e-9
         inst = BpbInstance(T, z0, epsilon, corr.cascade.t**2)
+        certs = verify_bpb_correction(inst, corr)
+        assert all_passed(certs), "\n".join(str(c) for c in certs)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.2, 0.5])
+    def test_blocks_of_opposite_signs_into_the_line_verify(self, epsilon):
+        # Blocks 1 and 2 send their top direction to -1 of R^1 and are
+        # heavy on inputs of the matching sign; block 3 is light and its
+        # image points to -1, so T z0 falls short by 2w from it.
+        comps = [EuclideanSpace(1), EuclideanSpace(1), EuclideanSpace(2),
+                 EuclideanSpace(1)]
+        H = EuclideanSpace(1)
+        dom = DirectSumSpace(comps, LpLattice(4, 1.0))
+        eta = lambda s: min(default_component_oracle(c).eta(s) for c in comps)
+        t = cascade_l1sum(epsilon, eta, H).t
+        deficit = w = t * t / 4.0
+        T = Operator(np.array([[1.0, -(1.0 - deficit), -0.6, 0.8, 1.0]]),
+                     dom, H)
+        z0 = np.array([0.5 - w, -0.3, -0.12, 0.16, -w])
+        corr = correct_operator_l1sum(comps, H, T, z0, epsilon)
+        assert corr.heavy_set == (0, 1, 2)
+        assert corr.tail_mass == pytest.approx(w, rel=1e-12)
+        assert corr.S.matrix[0, 1] < 0.0 and corr.S.matrix[0, 4] == 1.0
+        inst = BpbInstance(T, z0, epsilon, t * t)
         certs = verify_bpb_correction(inst, corr)
         assert all_passed(certs), "\n".join(str(c) for c in certs)
 

@@ -16,7 +16,7 @@ from bpbkit.ahsp import (PolyhedralPlaneAhspOracle, UniformlyConvexAhpOracle,
                          UniformlyConvexAhspOracle,
                          ahp_oracle_uniformly_convex, finite_dim_witness)
 from bpbkit.bpb import ConvexSeries
-from bpbkit.errors import NotUniformlyConvex, RangeError
+from bpbkit.errors import HypothesisError, NotUniformlyConvex, RangeError
 from bpbkit.lattices import Absolute2Lattice, LpLattice, WeightedL1Lattice
 from bpbkit.moduli import convexity_modulus
 from bpbkit.spaces import (DirectSumSpace, EuclideanSpace, LatticeSpace,
@@ -103,6 +103,21 @@ class TestSharedWitnessBall:
             assert abs(space.norm(z) - 1.0) < 1e-9
             assert abs(float(np.dot(f, z)) - 1.0) < 1e-9
             assert space.norm(p - z) < 0.2
+
+    @pytest.mark.parametrize("space", [EuclideanSpace(1), LpSpace(1, 3.0)])
+    def test_line_refuses_points_below_the_ball_bar(self, space):
+        # eta_ball on the line is the ball modulus eps/2: a point at 0.01
+        # sits below the bar 0.95, so it never reaches its face point 1,
+        # 0.99 away; points above the bar lie within eps/2 of it
+        oracle = UniformlyConvexAhspOracle(space)
+        assert oracle.eta_ball(0.1) == 0.05
+        with pytest.raises(HypothesisError):
+            oracle.witness_ball([1.0], [[0.01]], [1.0], 0.1)
+        points = [[0.951], [1.0]]
+        kept, faces, _ = oracle.witness_ball([0.5, 0.5], points, [1.0], 0.1)
+        assert kept == (0, 1)
+        for p, z in zip(points, faces):
+            assert z.tolist() == [1.0] and 1.0 - p[0] < 0.05
 
     def test_polyhedral_refuses_a_functional_that_is_not_extreme(self):
         # the face of (0.999, 0.001) on the l-infinity plane is one vertex,

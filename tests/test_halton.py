@@ -12,8 +12,8 @@ from bpbkit.moduli import _sample_directions
 
 
 def test_sample_directions_are_cached_and_read_only():
-    first = _sample_directions(3, 10)
-    assert _sample_directions(3, 10) is first
+    first = _sample_directions(4, 10)
+    assert _sample_directions(4, 10) is first
     assert not first.flags.writeable
 
 

@@ -73,22 +73,25 @@ class TestConvexityModulus:
         for p in (1.0, math.inf):
             assert convexity_modulus(LpSpace(2, p), 0.5) == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("space,method", [
-        (LpSpace(1, 3.0), "closed_form"), (LpSpace(1, 3.0), "brute_force"),
-        (LpSpace(1, 1.0), "auto"), (EuclideanSpace(1), "brute_force")])
-    def test_one_dimensional_modulus_is_one(self, space, method):
-        # the only unit vectors are +-1, so separated pairs meet at 0
-        for eps in (0.1, 1.0, 2.0):
-            assert convexity_modulus(space, eps, method) == 1.0
-
     @pytest.mark.parametrize("space", [
-        EuclideanSpace(1), EuclideanSpace(1, "complex"), LpSpace(1, 1.0),
-        LpSpace(1, 1.5), LpSpace(1, math.inf), LatticeSpace(LpLattice(1, 3.0)),
+        LpSpace(1, 3.0), LpSpace(1, 1.0), EuclideanSpace(1), LpSpace(1, 1.5),
+        LpSpace(1, math.inf), LatticeSpace(LpLattice(1, 3.0)),
         DirectSumSpace([EuclideanSpace(1)], LpLattice(1, 2.0))])
-    def test_every_one_dimensional_space_has_modulus_one(self, space):
+    def test_one_dimensional_modulus_is_half_epsilon(self, space):
+        # the ball holds x = 1, y = 1 - eps, whose midpoint is eps/2 deep
         for method in ("auto", "closed_form", "brute_force"):
             for eps in (0.1, 0.5, 1.0, 2.0):
-                assert convexity_modulus(space, eps, method) == 1.0
+                assert convexity_modulus(space, eps, method) == eps / 2.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_complex_euclidean_has_hilbert_modulus_by_every_method(self, dim):
+        # the complex line is the real plane: its modulus is not eps/2
+        space = EuclideanSpace(dim, "complex")
+        for method in ("auto", "closed_form", "brute_force"):
+            for eps in (0.1, 0.5, 1.0, 1.9):
+                hilbert = 1.0 - math.sqrt(1.0 - eps ** 2 / 4.0)
+                assert convexity_modulus(space, eps, method, 200) == \
+                    pytest.approx(hilbert, abs=1e-12)
 
     def test_epsilon_domain(self):
         for eps in (0.0, -0.5, 2.1):
@@ -148,6 +151,30 @@ class TestBruteForceAccuracy:
                                       resolution=200)
             closed = 1.0 - (1.0 - (eps / 2.0) ** 3) ** (1.0 / 3.0)
             assert brute == pytest.approx(closed, abs=5e-3), eps
+
+    @pytest.mark.parametrize("dim", [16, 50])
+    @pytest.mark.parametrize("resolution", [200, 1000])
+    def test_high_dimensional_euclidean_is_exact(self, dim, resolution):
+        # every pair is extremal on a Euclidean sphere, so only a lack of
+        # pairs at least eps apart (eps near 2) could show an error
+        space = EuclideanSpace(dim)
+        for eps in np.linspace(0.1, 1.9, 10):
+            brute = convexity_modulus(space, float(eps), method="brute_force",
+                                      resolution=resolution)
+            closed = convexity_modulus(space, float(eps))
+            assert brute == pytest.approx(closed, abs=1e-12), eps
+
+    @pytest.mark.parametrize("dim", [16, 50])
+    @pytest.mark.parametrize("resolution", [200, 1000])
+    def test_high_dimensional_lp3_within_7_5e_2(self, dim, resolution):
+        # the extremal pairs of lp(3) are sparse and sampled directions in
+        # high dimension are not, so the estimate overstates, but boundedly
+        space = LpSpace(dim, 3.0)
+        for eps in np.linspace(0.1, 1.5, 8):
+            brute = convexity_modulus(space, float(eps), method="brute_force",
+                                      resolution=resolution)
+            closed = convexity_modulus(space, float(eps))
+            assert -1e-12 <= brute - closed <= 7.5e-2, eps
 
     @pytest.mark.parametrize("space", [PlaneSpace(TABLE),
                                        LatticeSpace(LpLattice(3, 3.0))])
