@@ -8,12 +8,11 @@ seeded scenario harness with byte-reproducible reports.
 
 from .absolute import (AbsoluteNorm2, NormValidation, boundary_completion,
                        dual_pair, lemma_fact_delta, validate_absolute_norm)
-from .ahsp import (AhspWitness, EtaPolicy, UniformlyConvexAhpOracle,
-                   UniformlyConvexAhspOracle, PolyhedralPlaneAhspOracle,
-                   ahp_oracle_uniformly_convex, ahsp_oracle_for,
-                   direct_sum_space, direct_sum_witness, eta_policy,
-                   finite_dim_witness, plane_ahsp_oracle, restrict_witness,
-                   verify_ahsp_witness, witness_from_json)
+from .ahsp import (AhspWitness, EtaPolicy, PolyhedralPlaneAhspOracle,
+                   UniformlyConvexAhspOracle, ahp_oracle_uniformly_convex,
+                   ahsp_oracle_for, direct_sum_space, direct_sum_witness,
+                   eta_policy, finite_dim_witness, plane_ahsp_oracle,
+                   restrict_witness, verify_ahsp_witness, witness_from_json)
 from .alignment import AligningIsometry, align_isometry, verify_isometry
 from .bpb import (BpbCorrection, BpbInstance, ConvexSeries, FilterResult,
                   ParameterCascade, cascade_l1sum, correct_operator_l1sum,

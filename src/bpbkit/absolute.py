@@ -18,6 +18,11 @@ faces are computed exactly by vertex enumeration and 2x2 solves.
 Construction is permissive: a table only has to be positive and strictly
 ordered to build.  Use :func:`validate_absolute_norm` to obtain a
 certificate/violation report before feeding a generator into any pipeline.
+
+Pairs and ``(n, 2)`` rows are coerced by ``util.as_vector`` and
+``util.as_rows``.  For 1 < p < inf, :func:`_p_value` and :func:`_p_values`
+differ in the last bit: on 970, 106 and 773 of 20,000 ``|standard normal|``
+pairs (numpy seed 0) at p = 1.5, 2 and 3, by at most 4.4e-16 relative.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateInput, DimensionError, NotANorm, NotOnSphere,
-                     RangeError)
-from .util import TOL_SPHERE, as_pair
+from .errors import DegenerateInput, NotANorm, NotOnSphere, RangeError
+from .util import TOL_SPHERE, as_rows, as_vector
 
 _NODE_TOL = 1e-12
 
@@ -59,14 +63,6 @@ def _p_values(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     m = np.maximum(a, b)
     scale = np.where(m == 0.0, 1.0, m)
     return m * ((a / scale) ** p + (b / scale) ** p) ** (1.0 / p)
-
-
-def _abs_rows(rows) -> np.ndarray:
-    """The coordinatewise absolute values of an ``(n, 2)`` array."""
-    arr = np.abs(np.asarray(rows, dtype=float))
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DimensionError(f"expected an (n, 2) array, got shape {arr.shape}")
-    return arr
 
 
 def dual_exponent(p: float) -> float:
@@ -232,8 +228,7 @@ class AbsoluteNorm2:
         return float(np.interp(u, self._node_u, self._node_psi))
 
     def value(self, x) -> float:
-        a, b = as_pair(x)
-        a, b = abs(a), abs(b)
+        a, b = np.abs(as_vector(x, 2)).tolist()
         if self.kind == "lp":
             return _p_value(a, b, self.p)
         s = a + b
@@ -243,7 +238,7 @@ class AbsoluteNorm2:
 
     def values(self, rows) -> np.ndarray:
         """:meth:`value` of every row of an ``(n, 2)`` array, in one pass."""
-        arr = _abs_rows(rows)
+        arr = np.abs(as_rows(rows, 2))
         a, b = arr[:, 0], arr[:, 1]
         if self.kind == "lp":
             return _p_values(a, b, self.p)
@@ -253,8 +248,7 @@ class AbsoluteNorm2:
 
     def dual_value(self, x) -> float:
         """Norm of a functional (c, d) acting as (a, b) -> c*a + d*b."""
-        c, d = as_pair(x)
-        c, d = abs(c), abs(d)
+        c, d = np.abs(as_vector(x, 2)).tolist()
         if self.kind == "lp":
             return _p_value(c, d, dual_exponent(self.p))
         return max(c * vx + d * vy for vx, vy in self._vertices.tolist())
@@ -262,7 +256,7 @@ class AbsoluteNorm2:
     def dual_values(self, rows) -> np.ndarray:
         """:meth:`dual_value` of every row of an ``(n, 2)`` array, in one
         pass."""
-        arr = _abs_rows(rows)
+        arr = np.abs(as_rows(rows, 2))
         c, d = arr[:, 0], arr[:, 1]
         if self.kind == "lp":
             return _p_values(c, d, dual_exponent(self.p))
@@ -299,7 +293,7 @@ class AbsoluteNorm2:
 
     def dual_pair(self, x) -> np.ndarray:
         """:meth:`dual_pairs` of one pair."""
-        return self.dual_pairs(np.array([as_pair(x)]))[0]
+        return self.dual_pairs(as_vector(x, 2)[None])[0]
 
     def dual_pairs(self, rows) -> np.ndarray:
         """For every row x of an ``(n, 2)`` array, a functional of dual norm
@@ -312,8 +306,8 @@ class AbsoluteNorm2:
         x (nonnegative on zero coordinates).  A zero row raises
         :class:`DegenerateInput`.
         """
-        x = np.asarray(rows, dtype=float)
-        arr = _abs_rows(x)
+        x = as_rows(rows, 2)
+        arr = np.abs(x)
         v = self.values(arr)
         if (v == 0.0).any():
             raise DegenerateInput("the zero vector has no supporting functional")
@@ -332,7 +326,7 @@ class AbsoluteNorm2:
         """Extreme points of ``{p on the sphere, p >= 0 : <functional, p> = 1}``
         for an extreme dual point of the positive quadrant (polyhedral only),
         in sweep order."""
-        c, d = as_pair(functional)
+        c, d = as_vector(functional, 2).tolist()
         out = [(vx, vy) for vx, vy in self.vertices
                if abs(c * vx + d * vy - 1.0) <= 1e-9]
         if not out:

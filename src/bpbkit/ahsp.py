@@ -484,8 +484,7 @@ class UniformlyConvexAhspOracle(_FaceOracle):
         return self.space.coerce(x_star)
 
 
-#: Former names of the uniformly convex face oracle and its factory.
-UniformlyConvexAhpOracle = UniformlyConvexAhspOracle
+#: Former name of the uniformly convex face oracle's factory.
 ahp_oracle_uniformly_convex = UniformlyConvexAhspOracle
 
 

@@ -36,7 +36,7 @@ from .errors import (DegenerateInput, HypothesisError, RangeError)
 from .lattices import FiniteLattice, LpLattice, WeightedL1Lattice
 from .moduli import monotonicity_modulus
 from .spaces import DirectSumSpace, LatticeSpace, LpSpace, NormedSpace
-from .util import TOL_SPHERE
+from .util import TOL_SPHERE, as_vector
 
 #: Additive hypothesis slack at the pipeline entry (the honest eta'
 #: collapses below float resolution; all downstream bounds are re-checked).
@@ -52,12 +52,9 @@ def lattice_sum_space(E: FiniteLattice,
 def kothe_dual_norm(E: FiniteLattice, x) -> float:
     """The Köthe dual norm ``sup { sum |x_k y_k| : |y|_E <= 1 }``.
 
-    Exact through each lattice's closed-form dual.
+    Exact through each lattice's closed-form dual, which is absolute.
     """
-    arr = np.abs(np.asarray(x, dtype=float).reshape(-1))
-    if arr.size != E.dim:
-        raise RangeError(f"expected {E.dim} coordinates, got {arr.size}")
-    return E.dual_norm_of(arr)
+    return E.dual_norm_of(x)
 
 
 #: Rows per draw of the sampled sweeps, so their memory does not grow with
@@ -78,7 +75,7 @@ def _sample_blocks(rng: np.random.Generator, samples: int, dim: int):
 def sampled_dual_norm(E: FiniteLattice, x, rng: np.random.Generator,
                       samples: int = 2000) -> float:
     """Brute-force lower estimate of the Köthe dual norm over sampled B_E."""
-    arr = np.abs(np.asarray(x, dtype=float).reshape(-1))
+    arr = np.abs(as_vector(x, E.dim))
     best = 0.0
     for block in _sample_blocks(rng, samples, E.dim):
         y = np.abs(block)
@@ -115,7 +112,6 @@ def duality_isometry_check(Z: DirectSumSpace, x_star,
     att = Z.attaining_vector(f)
     achieved = float(np.real(Z.pairing(f, att)))
     rng = np.random.default_rng(np.random.SeedSequence([987651, seed]))
-    spans = list(zip(Z.components, Z.offsets[:-1], Z.offsets[1:]))
     # the functional is fixed, so each block's attaining vector is too
     attainers = [comp.attaining_vector(fb) if comp.dual_norm(fb) > 0.0
                  else None for comp, fb in zip(Z.components, Z.split(f))]
@@ -124,7 +120,7 @@ def duality_isometry_check(Z: DirectSumSpace, x_star,
         X = raw / Z.norms(raw)[:, None]
         best = max(best, float(np.abs(X @ f).max()))
         aligned = X.copy()
-        for (comp, lo, hi), a_k in zip(spans, attainers):
+        for (comp, lo, hi), a_k in zip(Z.spans, attainers):
             if a_k is not None:
                 aligned[:, lo:hi] = comp.norms(X[:, lo:hi])[:, None] * a_k
         na = Z.norms(aligned)

@@ -44,7 +44,7 @@ from .errors import (ConfigError, DegenerateInput, DimensionError, NotOnSphere,
                      RangeError)
 from .lattices import (Absolute2Lattice, FiniteLattice, LpLattice,
                        WeightedL1Lattice, _row_reduce, lattice_from_params)
-from .util import TOL_SPHERE, json_int
+from .util import TOL_SPHERE, as_rows, as_vector, json_int
 
 
 class NormedSpace(ABC):
@@ -62,39 +62,15 @@ class NormedSpace(ABC):
 
     def coerce(self, x) -> np.ndarray:
         """``x`` as a fresh, writable length-``dim`` vector of the space's
-        dtype.  Lists, 0-d and ``(1, dim)`` input are flattened; ints are
-        cast; complex input on a real space must have zero imaginary part
-        (:class:`RangeError`); a wrong length raises
-        :class:`DimensionError`.  An ``np.ndarray`` that already has the
-        dtype and shape is copied without the general checks."""
-        if (type(x) is np.ndarray and x.dtype == self.dtype
-                and x.shape == (self.dim,)):
-            return x.copy()
-        arr = np.asarray(x)
-        if arr.shape == ():
-            arr = arr.reshape(1)
-        arr = arr.reshape(-1)
-        if arr.size != self.dim:
-            raise DimensionError(
-                f"expected a vector of length {self.dim}, got {arr.size}")
-        if self.scalar_field == "real" and np.iscomplexobj(arr):
-            if np.any(arr.imag != 0.0):
-                raise RangeError("this space is real; complex coordinates are invalid")
-            arr = arr.real
-        return arr.astype(self.dtype)
+        dtype: a copy of :func:`~bpbkit.util.as_vector`'s result.  The
+        read-only kernels call ``as_vector`` and skip the copy."""
+        return as_vector(x, self.dim, self.dtype).copy()
 
     def coerce_rows(self, rows) -> np.ndarray:
-        """:meth:`coerce` for every row of an ``(n, dim)`` array at once,
-        keeping the input's memory order (row sums depend on it)."""
-        arr = np.asarray(rows)
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise DimensionError(
-                f"expected an (n, {self.dim}) array, got shape {arr.shape}")
-        if self.scalar_field == "real" and np.iscomplexobj(arr):
-            if np.any(arr.imag != 0.0):
-                raise RangeError("this space is real; complex coordinates are invalid")
-            arr = arr.real
-        return arr.astype(self.dtype)
+        """:meth:`coerce` for every row of an ``(n, dim)`` array at once: a
+        copy of :func:`~bpbkit.util.as_rows`'s result, in the input's
+        memory order (row sums depend on it)."""
+        return as_rows(rows, self.dim, self.dtype).copy(order="K")
 
     # -- core operations --------------------------------------------------
 
@@ -153,7 +129,7 @@ class NormedSpace(ABC):
         return complex(out) if self.scalar_field == "complex" else float(out)
 
     def unit(self, x) -> np.ndarray:
-        arr = self.coerce(x)
+        arr = as_vector(x, self.dim, self.dtype)
         n = self.norm(arr)
         if n == 0.0:
             raise DegenerateInput("cannot normalize the zero vector")
@@ -199,33 +175,43 @@ class EuclideanSpace(NormedSpace):
         self.scalar_field = scalar_field
 
     def norm(self, x) -> float:
-        arr = self.coerce(x)
+        # a strided vector is copied first, as np.linalg.norm does: BLAS
+        # sums it in another order
+        arr = as_vector(x, self.dim, self.dtype).ravel(order="K")
         if self.scalar_field == "complex":
             return float(np.linalg.norm(arr))
         # np.linalg.norm's arithmetic on a real vector, without its wrapper
         return float(np.sqrt(arr.dot(arr)))
 
-    def _row_norms(self, arr: np.ndarray) -> np.ndarray:
+    def norms(self, rows) -> np.ndarray:
+        arr = as_rows(rows, self.dim, self.dtype)
         if self.scalar_field == "complex":
             return np.linalg.norm(arr, axis=1)
         # np.linalg.norm's square root of the summed squares, summed by fold
         return np.sqrt(_row_reduce(np.add, arr * arr))
 
-    def norms(self, rows) -> np.ndarray:
-        return self._row_norms(self.coerce_rows(rows))
+    # A norm below 2^-480 sums squares below the normal range, which lost
+    # bits or vanished.  Scaling by 2^600 is exact and lifts every square
+    # of such a row into the normal range, its entries staying below 2^120.
+    _TINY_NORM = 2.0 ** -480
 
     def norming_functional(self, x) -> np.ndarray:
-        arr = self.coerce(x)
+        arr = as_vector(x, self.dim, self.dtype)
         n = float(np.linalg.norm(arr))
-        if n == 0.0:
-            raise DegenerateInput("zero has no norming functional or attaining vector")
+        if n < self._TINY_NORM:
+            return self.norming_functionals(arr[None])[0]
         return np.conj(arr) / n
 
     def norming_functionals(self, rows) -> np.ndarray:
-        arr = self.coerce_rows(rows)
-        n = self._row_norms(arr)
-        if (n == 0.0).any():
-            raise DegenerateInput("zero has no norming functional or attaining vector")
+        arr = as_rows(rows, self.dim, self.dtype)
+        n = self.norms(arr)
+        tiny = n < self._TINY_NORM
+        if tiny.any():
+            arr = arr.copy()
+            arr[tiny] *= 2.0 ** 600
+            n[tiny] = self.norms(arr[tiny])
+            if (n == 0.0).any():
+                raise DegenerateInput("zero has no norming functional or attaining vector")
         return np.conj(arr) / n[:, None]
 
     # Self-dual: the dual maps are the primal ones.  Each name stays in the
@@ -249,9 +235,9 @@ class EuclideanSpace(NormedSpace):
 class LatticeSpace(NormedSpace):
     """R^n with a monotone 1-unconditional (lattice) norm (real only).
 
-    The one lattice-backed class: every operation is its lattice's on the
-    coerced input, and an attaining vector is the lattice's for ``|f|``,
-    with the signs of f (positive where f is zero).  ``lp`` and
+    The one lattice-backed class: every operation is its lattice's, which
+    coerces the input once, and an attaining vector is the lattice's for
+    ``|f|``, with the signs of f (positive where f is zero).  ``lp`` and
     ``absolute2`` spaces are its subclasses over their lattices.
     """
 
@@ -263,30 +249,28 @@ class LatticeSpace(NormedSpace):
         self.dim = lattice.dim
 
     def norm(self, x) -> float:
-        return self.lattice.norm_of(self.coerce(x))
+        return self.lattice.norm_of(x)
 
     def norms(self, rows) -> np.ndarray:
-        return self.lattice.norms(self.coerce_rows(rows))
+        return self.lattice.norms(rows)
 
     def dual_norm(self, f) -> float:
-        return self.lattice.dual_norm_of(self.coerce(f))
+        return self.lattice.dual_norm_of(f)
 
     def dual_norms(self, rows) -> np.ndarray:
-        return self.lattice.dual_norms(self.coerce_rows(rows))
+        return self.lattice.dual_norms(rows)
 
     def norming_functional(self, x) -> np.ndarray:
-        return self.lattice.norming_of(self.coerce(x))
+        return self.lattice.norming_of(x)
 
     def norming_functionals(self, rows) -> np.ndarray:
-        return self.lattice.normings(self.coerce_rows(rows))
+        return self.lattice.normings(rows)
 
     def attaining_vector(self, f) -> np.ndarray:
-        fv = self.coerce(f)
-        return (np.where(fv < 0.0, -1.0, 1.0)
-                * self.lattice.dual_attaining_vector(np.abs(fv)))
+        return self.attaining_vectors(as_vector(f, self.dim)[None])[0]
 
     def attaining_vectors(self, rows) -> np.ndarray:
-        arr = self.coerce_rows(rows)
+        arr = as_rows(rows, self.dim)
         return (np.where(arr < 0.0, -1.0, 1.0)
                 * self.lattice.dual_attaining_vectors(np.abs(arr)))
 
@@ -360,13 +344,15 @@ class DirectSumSpace(NormedSpace):
         self.combiner = combiner
         self.offsets = np.cumsum([0] + [c.dim for c in components])
         self.dim = int(self.offsets[-1])
+        #: ``(component, lo, hi)`` of every block, in order
+        self.spans = list(zip(self.components, self.offsets[:-1],
+                              self.offsets[1:]))
 
     # -- block plumbing ---------------------------------------------------
 
     def split(self, x) -> list[np.ndarray]:
         arr = self.coerce(x)
-        return [arr[self.offsets[i]:self.offsets[i + 1]]
-                for i in range(len(self.components))]
+        return [arr[lo:hi] for _, lo, hi in self.spans]
 
     def embed(self, blocks) -> np.ndarray:
         if len(blocks) != len(self.components):
@@ -377,32 +363,31 @@ class DirectSumSpace(NormedSpace):
 
     def profile(self, x) -> np.ndarray:
         """The tuple of block norms."""
-        return np.array([comp.norm(b)
-                         for comp, b in zip(self.components, self.split(x))])
-
-    def profiles(self, rows) -> np.ndarray:
-        """The ``(n, m)`` block norms of the rows of an ``(n, dim)`` array:
-        each component's ``norms`` on its column slice."""
-        arr = self.coerce_rows(rows)
-        out = np.empty((len(arr), len(self.components)))
-        for i, (comp, lo, hi) in enumerate(zip(
-                self.components, self.offsets[:-1], self.offsets[1:])):
-            out[:, i] = comp.norms(arr[:, lo:hi])
-        return out
+        arr = as_vector(x, self.dim)
+        return np.array([comp.norm(arr[lo:hi]) for comp, lo, hi in self.spans])
 
     def dual_profile(self, f) -> np.ndarray:
-        return np.array([comp.dual_norm(b)
-                         for comp, b in zip(self.components, self.split(f))])
+        arr = as_vector(f, self.dim)
+        return np.array([comp.dual_norm(arr[lo:hi])
+                         for comp, lo, hi in self.spans])
+
+    def _per_block(self, rows, kernel: str) -> np.ndarray:
+        """The ``(n, m)`` values of each component's row ``kernel`` on its
+        column slice of the rows of an ``(n, dim)`` array."""
+        arr = as_rows(rows, self.dim)
+        out = np.empty((len(arr), len(self.components)))
+        for i, (comp, lo, hi) in enumerate(self.spans):
+            out[:, i] = getattr(comp, kernel)(arr[:, lo:hi])
+        return out
+
+    def profiles(self, rows) -> np.ndarray:
+        """The ``(n, m)`` block norms of the rows of an ``(n, dim)`` array."""
+        return self._per_block(rows, "norms")
 
     def dual_profiles(self, rows) -> np.ndarray:
         """The ``(n, m)`` block dual norms of the rows of an ``(n, dim)``
-        array: each component's ``dual_norms`` on its column slice."""
-        arr = self.coerce_rows(rows)
-        out = np.empty((len(arr), len(self.components)))
-        for i, (comp, lo, hi) in enumerate(zip(
-                self.components, self.offsets[:-1], self.offsets[1:])):
-            out[:, i] = comp.dual_norms(arr[:, lo:hi])
-        return out
+        array."""
+        return self._per_block(rows, "dual_norms")
 
     # -- norms ------------------------------------------------------------
 
@@ -419,7 +404,7 @@ class DirectSumSpace(NormedSpace):
         return self.combiner.dual_norms(self.dual_profiles(rows))
 
     def norming_functional(self, x) -> np.ndarray:
-        return self.norming_functionals(self.coerce(x)[None])[0]
+        return self.norming_functionals(as_vector(x, self.dim)[None])[0]
 
     def block_normings(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For the rows of an ``(n, dim)`` array: the ``(n, m)`` block-norm
@@ -429,12 +414,11 @@ class DirectSumSpace(NormedSpace):
         ``e*_i`` norms x; the zero block keeps the dual norm one because the
         Köthe dual norm is monotone.  A zero row raises
         :class:`DegenerateInput`."""
-        arr = self.coerce_rows(rows)
+        arr = as_rows(rows, self.dim)
         prof = self.profiles(arr)
         estar = self.combiner.normings(prof)  # raises on a zero row
         funcs = np.zeros_like(arr)
-        for i, (comp, lo, hi) in enumerate(zip(
-                self.components, self.offsets[:-1], self.offsets[1:])):
+        for i, (comp, lo, hi) in enumerate(self.spans):
             live = prof[:, i] > 0.0
             funcs[live, lo:hi] = comp.norming_functionals(arr[live, lo:hi])
         return prof, estar, funcs
@@ -446,18 +430,17 @@ class DirectSumSpace(NormedSpace):
         return np.repeat(estar, np.diff(self.offsets), axis=1) * funcs
 
     def attaining_vector(self, f) -> np.ndarray:
-        return self.attaining_vectors(self.coerce(f)[None])[0]
+        return self.attaining_vectors(as_vector(f, self.dim)[None])[0]
 
     def attaining_vectors(self, rows) -> np.ndarray:
         """Block i of row f is ``u_i`` times the component's attaining
         vector of block i, where u attains the dual profile of f; on a zero
         block it is ``u_i`` times the component's canonical unit."""
-        arr = self.coerce_rows(rows)
+        arr = as_rows(rows, self.dim)
         dprof = self.dual_profiles(arr)
         u = self.combiner.dual_attaining_vectors(dprof)  # raises on a zero row
         out = np.empty_like(arr)
-        for i, (comp, lo, hi) in enumerate(zip(
-                self.components, self.offsets[:-1], self.offsets[1:])):
+        for i, (comp, lo, hi) in enumerate(self.spans):
             live = dprof[:, i] > 0.0
             if live.all():  # no zero block: skip the masked copies
                 blocks = comp.attaining_vectors(arr[:, lo:hi])

@@ -1,4 +1,5 @@
-"""Small shared helpers: tolerances and canonical JSON."""
+"""Small shared helpers: tolerances, real-vector coercion and canonical
+JSON."""
 
 from __future__ import annotations
 
@@ -6,18 +7,40 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInput
+from .errors import ConfigError, DimensionError, RangeError
 
 #: Tolerance for membership in a unit sphere: ``|norm(x) - 1| <= TOL_SPHERE``.
 TOL_SPHERE = 1e-9
 
 
-def as_pair(x) -> tuple[float, float]:
-    """Coerce ``x`` to a real pair ``(a, b)``."""
-    arr = np.asarray(x, dtype=float).reshape(-1)
-    if arr.size != 2:
-        raise DegenerateInput(f"expected a length-2 real pair, got shape {np.shape(x)}")
-    return float(arr[0]), float(arr[1])
+def as_rows(rows, dim: int, dtype=np.float64) -> np.ndarray:
+    """``rows`` as an ``(n, dim)`` array of ``dtype``, for reading only: a
+    conforming ``np.ndarray`` as it is, anything else converted once in its
+    memory order (row sums depend on it).  A nonzero imaginary part under a
+    real ``dtype`` raises :class:`RangeError`, another shape
+    :class:`DimensionError`."""
+    if (type(rows) is np.ndarray and rows.dtype == dtype and rows.ndim == 2
+            and rows.shape[1] == dim):
+        return rows
+    arr = np.asarray(rows)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DimensionError(f"expected an (n, {dim}) array, got shape {arr.shape}")
+    if np.iscomplexobj(arr) and np.dtype(dtype).kind != "c":
+        if np.any(arr.imag != 0.0):
+            raise RangeError("complex coordinates are invalid in a real space")
+        arr = arr.real
+    return arr.astype(dtype, copy=False)
+
+
+def as_vector(x, dim: int, dtype=np.float64) -> np.ndarray:
+    """``x`` as a length-``dim`` vector of ``dtype``, by the rules of
+    :func:`as_rows`; 0-d and ``(1, dim)`` input is flattened."""
+    if type(x) is np.ndarray and x.dtype == dtype and x.shape == (dim,):
+        return x
+    arr = np.asarray(x).reshape(-1)
+    if arr.size != dim:
+        raise DimensionError(f"expected a vector of length {dim}, got {arr.size}")
+    return as_rows(arr[None], dim, dtype)[0]
 
 
 def json_int(value, what: str) -> int:

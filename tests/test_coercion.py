@@ -1,12 +1,18 @@
 """Coercion of vectors and row arrays, and the real Euclidean norm.
 
-``NormedSpace.coerce`` returns early on an ``np.ndarray`` that already has
-the dtype and shape.  These tests pin that the early return gives what the
-general path gives (the reference functions below are that path), that
-``coerce_rows`` keeps the memory order and copies, and that the general
-path still accepts and rejects what it did.
+``util.as_vector`` and ``util.as_rows`` are the one coercion of every
+layer: they return an ``np.ndarray`` that already has the dtype and shape
+as it is.  ``NormedSpace.coerce`` and ``coerce_rows`` copy their results.
+These tests pin that the copies equal what the general path gives (the
+reference functions below are that path), keep the memory order and are
+writable, that the general path still accepts and rejects what it did, and
+that every read-only kernel of the spaces, lattices and plane generators
+leaves its input alone and rejects a wrong length or a complex coordinate
+with the same named error.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -15,9 +21,10 @@ from hypothesis import strategies as st
 
 from bpbkit.absolute import AbsoluteNorm2
 from bpbkit.errors import DimensionError, RangeError
-from bpbkit.lattices import LpLattice, WeightedL1Lattice
+from bpbkit.lattices import Absolute2Lattice, LpLattice, WeightedL1Lattice
 from bpbkit.spaces import (DirectSumSpace, EuclideanSpace, LatticeSpace,
                            LpSpace, PlaneSpace)
+from bpbkit.util import as_rows, as_vector
 
 SPACES = [
     EuclideanSpace(3),
@@ -124,7 +131,18 @@ def test_fortran_rows_keep_their_order():
         np.random.default_rng(0).standard_normal((1000, 16)))
     space = EuclideanSpace(16)
     assert space.coerce_rows(rows).flags.f_contiguous
-    assert LpLattice(16, 1.0)._coerce_rows(rows).flags.f_contiguous
+    assert as_rows(rows, 16) is rows
+    for other in (rows.astype(np.float32), rows + 0j, rows.astype(int)):
+        other = np.asfortranarray(other)
+        assert space.coerce_rows(other).flags.f_contiguous
+        got = as_rows(other, 16)  # the real part of a complex array is a view
+        assert got.strides[0] < got.strides[1]
+    # the l1 lattice sums the F-ordered magnitudes, which differ from the
+    # C-ordered sums on some rows
+    mags = np.abs(rows)
+    want = mags.sum(axis=1)
+    assert (want != np.ascontiguousarray(mags).sum(axis=1)).any()
+    assert LpLattice(16, 1.0).norms(rows).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
@@ -152,7 +170,9 @@ def test_zero_dimensional_input():
         got = space.coerce(x)
         assert got.shape == (1,) and got.dtype == np.float64
         assert got[0] == 2.5
-    assert LpLattice(1, 2.0)._coerce(np.array(2.5)).shape == (1,)
+    for x in (2.5, np.array(2.5), np.array([[2.5]])):
+        assert as_vector(x, 1).shape == (1,)
+        assert LpLattice(1, 2.0).norm_of(x) == 2.5
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
@@ -180,11 +200,39 @@ def test_general_path_still_rejects(space):
 def test_lattice_general_path_still_rejects():
     lat = LpLattice(3, 2.0)
     with pytest.raises(DimensionError):
-        lat._coerce(np.zeros(4))
+        lat.norm_of(np.zeros(4))
     with pytest.raises(DimensionError):
-        lat._coerce_rows(np.zeros(3))
+        lat.norms(np.zeros(3))
     with pytest.raises(DimensionError):
-        lat._coerce_rows(np.zeros((2, 4)))
+        lat.norms(np.zeros((2, 4)))
+    with pytest.raises(DimensionError):
+        as_vector(np.zeros(4), 3)
+    for bad in (np.zeros(3), np.zeros((2, 4)), np.zeros((1, 2, 3))):
+        with pytest.raises(DimensionError):
+            as_rows(bad, 3)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_conforming_input_is_not_copied(layout, dtype):
+    rows = laid_out(np.arange(12.0).reshape(4, 3).astype(dtype), layout)
+    assert as_rows(rows, 3, dtype) is rows
+    x = rows[1]
+    assert as_vector(x, 3, dtype) is x
+    # (1, dim) input is flattened to a view
+    flat = as_vector(rows[1:2], 3, dtype)
+    assert flat.shape == (3,) and np.shares_memory(flat, rows)
+
+
+def test_imaginary_parts_are_checked_only_for_a_real_dtype():
+    z = np.array([1.0 + 0j, 2.0 - 0j])
+    np.testing.assert_array_equal(as_vector(z, 2), [1.0, 2.0])
+    for bad in ([1.0, 1j], np.array([1.0, 1e-300j])):
+        with pytest.raises(RangeError):
+            as_vector(bad, 2)
+        with pytest.raises(RangeError):
+            as_rows([bad], 2)
+        assert as_vector(bad, 2, np.complex128)[1] == np.asarray(bad)[1]
 
 
 # magnitudes from subnormal to near-overflow, and past it (inf in both)
@@ -232,3 +280,95 @@ def test_euclidean_norm_extremes(x):
             == np.linalg.norm(arr).tobytes())
     assert (np.float64(EuclideanSpace(len(x)).norm(list(x))).tobytes()
             == np.linalg.norm(arr).tobytes())
+
+
+# -- every layer's read-only kernels ------------------------------------------
+
+SPACE_KERNELS = ("norm", "dual_norm", "norming_functional", "attaining_vector")
+SPACE_ROW_KERNELS = ("norms", "dual_norms", "norming_functionals",
+                     "attaining_vectors")
+LATTICE_KERNELS = ("norm_of", "dual_norm_of", "norming_of",
+                   "dual_attaining_vector", "unit")
+LATTICE_ROW_KERNELS = ("norms", "dual_norms", "normings",
+                       "dual_attaining_vectors")
+SUM = DirectSumSpace([EuclideanSpace(2), LpSpace(3, 4.0)], LpLattice(2, 1.0))
+LAYERS = [
+    (EuclideanSpace(3), SPACE_KERNELS + ("unit",), SPACE_ROW_KERNELS),
+    (EuclideanSpace(2, "complex"), SPACE_KERNELS, SPACE_ROW_KERNELS),
+    (LpSpace(3, 3.0), SPACE_KERNELS, SPACE_ROW_KERNELS),
+    (PlaneSpace(AbsoluteNorm2.from_table([(0.0, 1.0), (0.5, 0.75),
+                                          (1.0, 1.0)])),
+     SPACE_KERNELS, SPACE_ROW_KERNELS),
+    (LatticeSpace(WeightedL1Lattice([1.0, 2.0, 0.5])), SPACE_KERNELS,
+     SPACE_ROW_KERNELS),
+    (SUM, SPACE_KERNELS + ("profile", "dual_profile"),
+     SPACE_ROW_KERNELS + ("profiles", "dual_profiles", "block_normings")),
+    (LpLattice(3, 1.5), LATTICE_KERNELS, LATTICE_ROW_KERNELS),
+    (WeightedL1Lattice([1.0, 2.0, 0.5]), LATTICE_KERNELS, LATTICE_ROW_KERNELS),
+    (Absolute2Lattice(AbsoluteNorm2.lp(math.inf)), LATTICE_KERNELS,
+     LATTICE_ROW_KERNELS),
+    (AbsoluteNorm2.lp(2.5), ("value", "dual_value", "dual_pair"),
+     ("values", "dual_values", "dual_pairs")),
+    (AbsoluteNorm2.from_table([(0.0, 1.0), (0.5, 0.75), (1.0, 1.0)]),
+     ("value", "dual_value", "dual_pair"),
+     ("values", "dual_values", "dual_pairs")),
+]
+
+
+def _dim(layer) -> int:
+    return getattr(layer, "dim", 2)
+
+
+def _arrays(result):
+    return [r for r in (result if isinstance(result, tuple) else (result,))
+            if isinstance(r, np.ndarray)]
+
+
+@pytest.mark.parametrize("layer,kernels,row_kernels", LAYERS,
+                         ids=[repr(lay[0]) for lay in LAYERS])
+def test_read_only_kernels_leave_their_input_alone(layer, kernels,
+                                                   row_kernels):
+    dim = _dim(layer)
+    x = np.linspace(-1.5, 2.0, dim) + 0.25
+    rows = np.stack([x, x[::-1] + 1.0])
+    if getattr(layer, "scalar_field", "real") == "complex":
+        x, rows = x + 0.5j, rows - 0.25j
+    for arg, names in ((x, kernels), (rows, row_kernels)):
+        before = arg.copy()
+        arg.flags.writeable = False
+        for name in names:
+            out = _arrays(getattr(layer, name)(arg))
+            assert arg.tobytes() == before.tobytes(), name
+            assert not any(np.shares_memory(o, arg) for o in out), name
+
+
+@pytest.mark.parametrize("layer,kernels,row_kernels", LAYERS,
+                         ids=[repr(lay[0]) for lay in LAYERS])
+def test_every_layer_names_the_same_errors(layer, kernels, row_kernels):
+    dim = _dim(layer)
+    for name in kernels:
+        kernel = getattr(layer, name)
+        for bad in (np.ones(dim + 1), [1.0] * (dim - 1), np.ones((2, dim))):
+            with pytest.raises(DimensionError):
+                kernel(bad)
+    for name in row_kernels:
+        kernel = getattr(layer, name)
+        for bad in (np.ones((2, dim + 1)), np.ones(dim), [[1.0] * (dim + 1)]):
+            with pytest.raises(DimensionError):
+                kernel(bad)
+    if getattr(layer, "scalar_field", "real") == "complex":
+        return
+    x = np.linspace(0.5, 1.5, dim)
+    for name in kernels:
+        kernel = getattr(layer, name)
+        want = _arrays(kernel(x)) or [kernel(x)]
+        got = _arrays(kernel(x + 0j)) or [kernel(x + 0j)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), name
+        for bad in (x + 1j, list(x + 1j)):
+            with pytest.raises(RangeError):
+                kernel(bad)
+    for name in row_kernels:
+        kernel = getattr(layer, name)
+        for bad in (x[None] + 1j, [list(x + 1j)]):
+            with pytest.raises(RangeError):
+                kernel(bad)

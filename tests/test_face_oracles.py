@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from bpbkit import ahsp
 from bpbkit.absolute import AbsoluteNorm2
-from bpbkit.ahsp import (PolyhedralPlaneAhspOracle, UniformlyConvexAhpOracle,
-                         UniformlyConvexAhspOracle,
+from bpbkit.ahsp import (PolyhedralPlaneAhspOracle, UniformlyConvexAhspOracle,
                          ahp_oracle_uniformly_convex, finite_dim_witness)
 from bpbkit.bpb import ConvexSeries
 from bpbkit.errors import HypothesisError, NotUniformlyConvex, RangeError
@@ -28,7 +27,6 @@ EPSILONS = [1e-6, 0.01, 0.1, 0.37, 0.8, 1.0, 1.5, 1.99, 2.0]
 
 class TestUniformlyConvexOracle:
     def test_one_class_behind_every_name(self):
-        assert UniformlyConvexAhpOracle is UniformlyConvexAhspOracle
         oracle = ahp_oracle_uniformly_convex(EuclideanSpace(2))
         assert type(oracle) is UniformlyConvexAhspOracle
 
@@ -372,6 +370,15 @@ class TestExactFacePoint:
         f = space.norming_functional(_nonzero_vector(data, space.dim))
         x = np.array(data.draw(_coords(space.dim)))
         z = ahsp._face_point(space, f, x)
+        assert abs(space.norm(z) - 1.0) <= 1e-12
+        assert abs(float(f @ z) - 1.0) <= 1e-12
+
+    def test_blockwise_point_with_a_tiny_euclidean_block(self):
+        # the block's squares are subnormal: its norming functional must
+        # still be unit for the face point to lie on the face
+        space = DirectSumSpace([E2, E2], LpLattice(2, 1.0))
+        f = space.norming_functional([0.0, 2.2383374397463662e-157, 0.0, 0.0])
+        z = ahsp._face_point(space, f, np.array([0.5, -1.0, 0.25, 2.0]))
         assert abs(space.norm(z) - 1.0) <= 1e-12
         assert abs(float(f @ z) - 1.0) <= 1e-12
 

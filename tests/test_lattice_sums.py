@@ -14,6 +14,7 @@ from bpbkit.bpb import ConvexSeries
 from bpbkit.certs import all_passed
 from bpbkit.errors import (
     DegenerateInput,
+    DimensionError,
     HypothesisError,
     NotUniformlyMonotone,
     RangeError,
@@ -90,8 +91,21 @@ class TestKotheDuality:
         assert kothe_dual_norm(E, [1, 1, 1]) == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(DimensionError):
             kothe_dual_norm(LpLattice(2, 2.0), [1, 2, 3])
+        with pytest.raises(DimensionError):
+            sampled_dual_norm(LpLattice(2, 2.0), [1, 2, 3],
+                              np.random.default_rng(0), samples=4)
+
+    def test_complex_coordinates_are_rejected(self):
+        # at one time the imaginary part was dropped with a warning
+        for E in (LpLattice(2, 2.0), WeightedL1Lattice([1.0, 2.0])):
+            for bad in ([1j, 1.0], np.array([1j, 1.0])):
+                with pytest.raises(RangeError):
+                    kothe_dual_norm(E, bad)
+                with pytest.raises(RangeError):
+                    sampled_dual_norm(E, bad, np.random.default_rng(0),
+                                      samples=4)
 
     @pytest.mark.parametrize(
         "E", [LpLattice(2, 2.0), LpLattice(3, 1.0), WeightedL1Lattice([1.0, 2.0])]

@@ -82,6 +82,26 @@ class TestNormsAndDuality:
         assert val.imag == pytest.approx(0.0, abs=1e-12)
         assert val.real == pytest.approx(sp.norm(z), rel=1e-12)
 
+    @pytest.mark.parametrize("x", [[0.0, 2.2383374397463662e-157],
+                                   [3e-162, 0.0], [1e-162, 0.0],
+                                   [0.0, 5e-324]])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_norming_functional_of_a_tiny_vector_is_unit(self, x, field):
+        # the squares fall below the normal range, or vanish; the
+        # functional is still the unit vector in the direction of x
+        sp = EuclideanSpace(2, field)
+        want = np.array(x) / max(x)
+        ordinary = sp.norming_functionals([[1.0, -2.0]])[0]
+        rows = sp.norming_functionals([[1.0, -2.0], x])
+        assert rows[0].tobytes() == ordinary.tobytes()
+        for f in (sp.norming_functional(x), sp.attaining_vector(x),
+                  sp.norming_functionals([x])[0], rows[1]):
+            np.testing.assert_array_equal(f, want)
+            assert sp.dual_norm(f) == 1.0
+        if field == "complex":
+            z = 1j * np.array(x)
+            np.testing.assert_array_equal(sp.norming_functional(z), -1j * want)
+
     def test_unit_and_zero(self):
         sp = LpSpace(3, 2.0)
         assert sp.norm(sp.unit([3.0, 0.0, 4.0])) == pytest.approx(1.0)
