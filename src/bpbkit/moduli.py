@@ -15,7 +15,12 @@ sequence on the generalised golden ratio, mapped to normal deviates by
 Box-Muller.  The real line has the ball modulus eps/2 by every method;
 from dimension two on, the sphere and ball moduli agree.
 Both bisections stop at their floating-point fixed point, where further
-steps cannot change a bit, and keep their step count only as a cap.
+steps cannot change a bit, and keep their step count only as a cap.  The
+estimator's bisection also jumps over its coarse levels: by the
+monotonicity lemma of normed planes, the chord along its path never
+decreases, so two chord evaluations with a margin certify what every
+skipped step would decide, and it ends with the bits of all 80 steps in
+about half the norm evaluations.
 """
 
 from __future__ import annotations
@@ -139,6 +144,191 @@ def _sample_directions(dim: int, count: int) -> np.ndarray:
     return z
 
 
+#: The jumps' certificate margin M on a computed chord.  A computed chord
+#: never falls by more than M/2 as the path parameter grows: the exact chord
+#: cannot fall (the monotonicity lemma), and the largest fall that rounding
+#: makes, searched by ``tests/test_row_kernels.py`` over every space kind, was
+#: at most 1.6e-15.
+_CHORD_MARGIN = 2e-14
+#: Levels the bisection runs as it is before the first jump.
+_PREFIX_LEVELS = 10
+#: At most this many rounds of jumps.
+_JUMP_ROUNDS = 8
+
+
+def _chords(space: NormedSpace, x: np.ndarray, target: np.ndarray,
+            t: np.ndarray) -> np.ndarray:
+    """Per row, the chord ``|x - y|`` to the point ``y = c/|c|`` of the path
+    ``c = (1 - t) x + t target``, in the bisection's own arithmetic; nan
+    where ``c`` has norm zero, so that such a row never reads as short."""
+    cand = (1.0 - t)[:, None] * x + t[:, None] * target
+    ncand = space.norms(cand)
+    zero = ncand == 0.0
+    cand /= np.where(zero, 1.0, ncand)[:, None]
+    chord = space.norms(x - cand)
+    chord[zero] = np.nan
+    return chord
+
+
+def _inverse_cubic(t: list, c: list, eps: float):
+    """Where the path reaches chord ``eps``, by inverse interpolation (Neville)
+    of the four points ``(c[i], t[i])``: the cubic's value, and its distance
+    from the quadratic through the last three as the error scale."""
+    t0, t1, t2, t3 = t
+    d0, d1, d2, d3 = (eps - v for v in c)
+    a = (d1 * t0 - d0 * t1) / (d1 - d0)
+    b = (d2 * t1 - d1 * t2) / (d2 - d1)
+    d = (d3 * t2 - d2 * t3) / (d3 - d2)
+    ab = (d2 * a - d0 * b) / (d2 - d0)
+    bd = (d3 * b - d1 * d) / (d3 - d1)
+    s = (d3 * ab - d0 * bd) / (d3 - d0)
+    return s, np.abs(s - bd)
+
+
+def _jump(space, x, target, eps, lo, hi, level, t, c) -> None:
+    """Move rows of the bisection state ``(lo, hi, level)`` ahead in place,
+    in rounds, to the state the bisection itself reaches at a later level.
+
+    ``t`` and ``c`` are each row's last four path parameters and chords.  A
+    round interpolates a root ``s`` with an error scale ``err``
+    (:func:`_inverse_cubic`) and takes the finest level ``k`` whose grid
+    step ``h = 2^-k`` is at least ``safety * err / 0.45``, the margin's floor
+    ``1.5 M / (0.45 slope)`` and four float spacings of ``hi``.  It
+    evaluates the chords at ``s -+ 0.45 h`` (clipped to the bracket) and at
+    the one level-k grid point ``g`` between them, or the window's middle if
+    there is none.  The jump is taken where the chord is below ``eps - M``
+    at the left flank and above ``eps + M`` at the right one (a flank
+    clipped to an end of the bracket has nothing to decide): every other
+    point the bisection visits down to level ``k`` lies beyond a flank,
+    where the chord is on the same side of ``eps`` (:data:`_CHORD_MARGIN`),
+    so the state at level ``k`` is ``[g, g + h]`` or ``[g - h, g]`` by
+    ``g``'s own answer.  A row that cannot jump three levels takes the
+    bisection's next step instead, at the middle point, and the step after
+    it where the quarter point's chord clears the margin; a failed jump
+    widens the row's next window 16-fold.  A row leaves when no jump could
+    gain three levels: four float spacings of ``hi``, or level 80, are less
+    than three levels down, or it has just jumped to within three levels of
+    the margin's floor.
+
+    Only the middle points' own answers move a row, so only they are
+    evaluated in a call over every row in the bisection's order
+    (:func:`_bisect`).  The flanks and quarter points are evaluated in a
+    call over the rows still jumping and are read only against the margin:
+    another grouping can move a chord by a unit or two in the last place,
+    far inside ``M / 2``.
+    """
+    rows = np.arange(len(x))
+    low, high, lev = lo, hi, level
+    x2, target2 = np.concatenate([x, x]), np.concatenate([target] * 2)
+    safety = np.full(len(x), 2.0)
+    landed = np.zeros(len(x), dtype=bool)
+    for _ in range(_JUMP_ROUNDS):
+        s, err = _inverse_cubic(t, c, eps)
+        floor = 1.5 * _CHORD_MARGIN / ((c[3] - c[1]) / (t[3] - t[1]))
+        # no level past 80, nor a step below 4 spacings of hi = m 2^E,
+        # 1/2 <= m < 1, which are 2^(E - 51)
+        k_grid = np.minimum(51 - np.frexp(high)[1], 80)
+        k = np.minimum(-np.frexp(np.maximum(safety * err, floor) / 0.45)[1],
+                       k_grid)
+        done = lev + 3 > k_grid
+        done |= landed & (lev + 3 > -np.frexp(floor / 0.45)[1])
+        if done.any():
+            lo[rows], hi[rows], level[rows] = low, high, lev
+            stay = ~done
+            rows = rows[stay]
+            if not rows.size:
+                return
+            low, high, lev, s, k, safety = (low[stay], high[stay], lev[stay],
+                                            s[stay], k[stay], safety[stay])
+            t, c = [v[stay] for v in t], [v[stay] for v in c]
+            x2 = np.concatenate([x[rows]] * 2)
+            target2 = np.concatenate([target[rows]] * 2)
+        jump = (k >= lev + 3) & (s > low) & (s < high)
+        h = np.ldexp(1.0, -k)
+        left = np.maximum(s - 0.45 * h, low)
+        right = np.minimum(s + 0.45 * h, high)
+        g = np.floor(right / h) * h
+        inner = (g > left) & (g < high)
+        # three points at least h/10 apart, lest the next interpolation
+        # magnify the chords' rounding; still no other grid point between
+        left = np.where(inner, np.minimum(left, g - 0.1 * h), left)
+        right = np.where(inner, np.maximum(right, g + 0.1 * h), right)
+        # the rows that do not jump take the bisection's next step at m,
+        # with the quarter points for the next interpolation
+        m = 0.5 * (low + high)
+        t = [t[2], np.where(jump, left, 0.5 * (low + m)),
+             np.where(jump, np.where(inner, g, 0.5 * (left + right)), m),
+             np.where(jump, right, 0.5 * (m + high))]
+        n = len(rows)
+        flanks = _chords(space, x2, target2, np.concatenate([t[1], t[3]]))
+        mids = 0.5 * (lo + hi)  # the rows that left: any point will do
+        mids[rows] = t[2]
+        c = [c[2], flanks[:n], _chords(space, x, target, mids)[rows],
+             flanks[n:]]
+        short = c[2] < eps
+        ok = (jump & ((left == low) | (c[1] < eps - _CHORD_MARGIN))
+              & ((right == high) | (c[3] > eps + _CHORD_MARGIN)))
+        g -= np.where((inner & ~short) | (g == high), h, 0.0)
+        # after m, the bisection's next point is a quarter point; its
+        # flank-call chord decides it where it clears the margin
+        q = np.where(short, t[3], t[1])
+        c_q = np.where(short, c[3], c[1])
+        q_short, q_long = c_q < eps - _CHORD_MARGIN, c_q > eps + _CHORD_MARGIN
+        two_low = np.where(q_short, q, np.where(short, m, low))
+        two_high = np.where(q_long, q, np.where(short, high, m))
+        low = np.where(ok, g, np.where(jump, low, two_low))
+        high = np.where(ok, g + h, np.where(jump, high, two_high))
+        two_lev = lev + 1 + (q_short | q_long)
+        lev = np.where(ok, k, np.where(jump, lev, two_lev))
+        safety = np.where(ok, 2.0, np.where(jump, 16.0 * safety, safety))
+        landed = ok
+    lo[rows], hi[rows], level[rows] = low, high, lev
+
+
+def _finish(space, x, target, eps, lo, hi, level) -> None:
+    """The bisection's own loop, in place: every row moves until its
+    midpoint rounds to an end of its bracket or it reaches level 80, in
+    calls that still hold every row."""
+    cap = 80 - level
+    for step in range(80):
+        mid = 0.5 * (lo + hi)
+        live = (mid != lo) & (mid != hi) & (cap > step)
+        if not live.any():
+            return
+        short = _chords(space, x, target, mid) < eps
+        np.copyto(lo, mid, where=live & short)
+        np.copyto(hi, mid, where=live & ~short)
+
+
+def _bisect(space, x, target, eps) -> np.ndarray:
+    """Per row, the ``hi`` that 80 steps of the bisection ``mid = (lo +
+    hi)/2``, ``lo = mid`` where the chord at ``mid`` is short of ``eps``,
+    else ``hi = mid``, reach from ``[0, 1]``, bit for bit: ten plain steps,
+    the jumps of :func:`_jump`, then :func:`_finish`.
+
+    Every ``norms`` call whose answers move a row is over all rows in the
+    bisection's order, as the bisection's own calls are: a row-batched
+    kernel may round a row by its place in the call and the call's size
+    (numpy's ``matmul``, which weighted l1 uses, does: from 8 weights, and
+    for a single row), so a chord evaluated in another grouping could
+    differ in the last bit."""
+    n = len(x)
+    lo, hi = np.zeros(n), np.ones(n)
+    t, c = [], []
+    for _ in range(_PREFIX_LEVELS):
+        mid = 0.5 * (lo + hi)
+        chord = _chords(space, x, target, mid)
+        short = chord < eps
+        np.copyto(lo, mid, where=short)
+        np.copyto(hi, mid, where=~short)
+        t.append(mid)
+        c.append(chord)
+    level = np.full(n, _PREFIX_LEVELS)
+    _jump(space, x, target, eps, lo, hi, level, t[-4:], c[-4:])
+    _finish(space, x, target, eps, lo, hi, level)
+    return hi
+
+
 def _brute_force_convexity(space: NormedSpace, eps: float,
                            resolution: int = 1000) -> float:
     """Estimator: sample unit pairs from the directions of
@@ -146,12 +336,30 @@ def _brute_force_convexity(space: NormedSpace, eps: float,
     length exactly eps, and take the worst midpoint depth.  The line never
     reaches here: :func:`convexity_modulus` answers dimension one.
 
-    All (pair, +-target) rows bisect together, each norm evaluation one
-    ``space.norms`` call over every row.  Once every row's midpoint rounds
-    to its ``lo`` or ``hi``, the step after that one repeats the same
-    midpoints, hence the same norms and the same short/not-short answers,
-    and nothing moves again.  So the bisection stops there, with the bits
-    the full 80 steps give; 80 stays the cap.
+    Each (pair, +-target) row bisects on the parameter ``t`` of its path
+    ``y(t) = c/|c|``, ``c = (1 - t) x + t target``, for the chord ``|x -
+    y(t)| = eps``; the value is a function of every row's ``hi`` after 80
+    steps.  :func:`_bisect` reaches those bits with about half the
+    ``norms`` calls:
+
+    * a prefix: the first ten steps as they are, over every row;
+    * jumps (:func:`_jump`): for ``t1 < t2``, ``y(t1)`` lies in the angle
+      between ``x`` and ``y(t2)``, so ``|x - y(t1)| <= |x - y(t2)|`` (the
+      monotonicity lemma of normed planes: Martini, Swanepoel and Weiss,
+      *The geometry of Minkowski spaces -- a survey, Part I*, Expo. Math. 19
+      (2001)).  Rounding can make a computed chord fall, by at most
+      1.6e-15 in every kind measured, so with the margin ``M``
+      (:data:`_CHORD_MARGIN`) a chord below ``eps - M`` at one point shows
+      every step left of it short, and one above ``eps + M`` every step
+      right of it long.  Two such flanks around an interpolated root and
+      the one grid point between them fix the bisection's state many
+      levels down, by the bisection's own answers;
+    * the bisection's loop again (:func:`_finish`), moving each row until
+      its midpoint rounds to an end of its bracket, after which no step
+      could move a bit, or until it has taken 80 steps.
+
+    Each ``norms`` call whose answers move a row holds every row in the
+    full bisection's order, so those chords round as in the full bisection.
     """
     dim = space.dim
     dirs = _sample_directions(2 * dim, resolution)
@@ -165,19 +373,8 @@ def _brute_force_convexity(space: NormedSpace, eps: float,
     target = np.concatenate([y0, -y0])
     far = space.norms(x - target) >= eps
     x, target = x[far], target[far]
-    lo, hi = np.zeros(len(x)), np.ones(len(x))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        cand = (1.0 - mid)[:, None] * x + mid[:, None] * target
-        ncand = space.norms(cand)
-        zero = ncand == 0.0
-        cand = cand / np.where(zero, 1.0, ncand)[:, None]
-        short = ~zero & (space.norms(x - cand) < eps)
-        settled = ((mid == lo) | (mid == hi)).all()
-        lo = np.where(short, mid, lo)
-        hi = np.where(short, hi, mid)
-        if settled:
-            break
+    with np.errstate(all="ignore"):
+        hi = _bisect(space, x, target, eps)
     cand = (1.0 - hi)[:, None] * x + hi[:, None] * target
     ncand = space.norms(cand)
     nonzero = ncand != 0.0
@@ -187,11 +384,27 @@ def _brute_force_convexity(space: NormedSpace, eps: float,
     return max(float(depth.min(initial=1.0)), 0.0)
 
 
-def _has_closed_form(space: NormedSpace) -> bool:
-    """Whether :func:`convexity_modulus` has a closed form for the space:
-    euclidean, or lp with 1 < p < inf."""
-    return space.kind == "euclidean" or (space.kind == "lp"
-                                         and space.p not in (1.0, math.inf))
+def _convexity_method(space: NormedSpace, method: str) -> str:
+    """The path :func:`convexity_modulus` takes for ``space`` under
+    ``method``: ``"closed_form"`` (the line's eps/2, the Hilbert formula or
+    Hanner's) or ``"brute_force"``.  Raises :class:`RangeError` for an
+    unknown method and :class:`NotUniformlyConvex` for ``"closed_form"`` on
+    a kind without one."""
+    if method not in ("auto", "closed_form", "brute_force"):
+        raise RangeError(f"unknown method {method!r}")
+    if space.dim == 1 and space.scalar_field == "real":
+        return "closed_form"
+    closed = space.kind == "euclidean" or (space.kind == "lp"
+                                           and space.p not in (1.0, math.inf))
+    if closed and (method != "brute_force" or space.dim == 1):
+        return "closed_form"
+    if method == "closed_form":
+        if space.kind == "lp":
+            raise NotUniformlyConvex(
+                f"lp({space.p}) has flat faces; no closed-form modulus")
+        raise NotUniformlyConvex(
+            f"no closed-form convexity modulus for kind {space.kind!r}")
+    return "brute_force"
 
 
 def _check_resolution(resolution) -> None:
@@ -222,21 +435,13 @@ def convexity_modulus(space: NormedSpace, epsilon: float,
     if not 0.0 < epsilon <= 2.0:
         raise RangeError(f"epsilon must lie in (0, 2], got {epsilon}")
     _check_resolution(resolution)
-    if method not in ("auto", "closed_form", "brute_force"):
-        raise RangeError(f"unknown method {method!r}")
+    if _convexity_method(space, method) == "brute_force":
+        return _brute_force_convexity(space, epsilon, resolution)
     if space.dim == 1 and space.scalar_field == "real":
         return epsilon / 2.0
-    if (method != "brute_force" or space.dim == 1) and _has_closed_form(space):
-        if space.kind == "euclidean":
-            return 1.0 - math.sqrt(max(0.0, 1.0 - epsilon ** 2 / 4.0))
-        return _hanner_delta(space.p, epsilon)
-    if method == "closed_form":
-        if space.kind == "lp":
-            raise NotUniformlyConvex(
-                f"lp({space.p}) has flat faces; no closed-form modulus")
-        raise NotUniformlyConvex(
-            f"no closed-form convexity modulus for kind {space.kind!r}")
-    return _brute_force_convexity(space, epsilon, resolution)
+    if space.kind == "euclidean":
+        return 1.0 - math.sqrt(max(0.0, 1.0 - epsilon ** 2 / 4.0))
+    return _hanner_delta(space.p, epsilon)
 
 
 # -- uniform monotonicity ---------------------------------------------------
@@ -294,11 +499,10 @@ def monotonicity_modulus(E, epsilon: float) -> float:
 def convexity_curve(space: NormedSpace, epsilons, method: str = "auto",
                     resolution: int = 1000) -> ModulusCurve:
     _check_resolution(resolution)
+    used = _convexity_method(space, method)
     samples = tuple((float(e), convexity_modulus(space, float(e), method,
                                                  resolution))
                     for e in epsilons)
-    used = ("closed_form" if method != "brute_force" and _has_closed_form(space)
-            else "brute_force")
     return ModulusCurve("convexity", space_descriptor(space), samples, used)
 
 

@@ -337,6 +337,16 @@ class TestCurves:
         # Flat faces: no convexity gain at small eps.
         assert curve.samples[0][1] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("space,method", [
+        (LpSpace(1, 1.0), "auto"),
+        (EuclideanSpace(1, "complex"), "brute_force")])
+    def test_one_dimensional_curves_are_closed_forms(self, space, method):
+        # the real line's eps/2 and the complex line's Hilbert formula
+        curve = convexity_curve(space, [0.5, 1.0], method=method)
+        assert curve.method == "closed_form"
+        assert curve.samples == tuple(
+            (e, convexity_modulus(space, e, method)) for e in (0.5, 1.0))
+
     def test_space_descriptor_pins(self):
         assert space_descriptor(EuclideanSpace(2)) == "euclidean[R]^2"
         assert space_descriptor(EuclideanSpace(2, scalar_field="complex")) == (

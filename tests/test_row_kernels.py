@@ -20,8 +20,8 @@ from bpbkit.errors import (DegenerateInput, DimensionError, HypothesisError,
 from bpbkit.lattice_sums import duality_isometry_check, sampled_dual_norm
 from bpbkit.lattices import (Absolute2Lattice, LpLattice, WeightedL1Lattice,
                             _lp_norms, _row_reduce)
-from bpbkit.moduli import (_brute_force_convexity, _sample_directions,
-                           convexity_modulus)
+from bpbkit.moduli import (_CHORD_MARGIN, _brute_force_convexity, _chords,
+                           _sample_directions, convexity_modulus)
 from bpbkit.spaces import (DirectSumSpace, EuclideanSpace, LatticeSpace,
                            LpSpace, Operator, OperatorNormResult, PlaneSpace)
 from bpbkit.util import TOL_SPHERE
@@ -623,6 +623,109 @@ class TestBruteForceConvexity:
         # make 166
         assert space.calls <= 126
         assert got == _full_bisection_convexity(EuclideanSpace(3), 0.8, 200)
+
+
+@st.composite
+def _tables(draw):
+    """A three-node table generator; any psi(u) in [max(u, 1-u), 1] keeps it
+    convex."""
+    u = draw(st.floats(0.1, 0.9))
+    psi = draw(st.floats(max(u, 1.0 - u), 1.0))
+    return AbsoluteNorm2.from_table([(0.0, 1.0), (u, psi), (1.0, 1.0)])
+
+
+_WEIGHTS = st.floats(0.1, 10.0)
+
+
+def _leaf_spaces(dims):
+    return st.one_of(
+        st.one_of(st.sampled_from([AbsoluteNorm2.lp(1.0),
+                                   AbsoluteNorm2.lp(math.inf)]),
+                  _tables()).map(PlaneSpace),
+        st.builds(LpSpace, dims, st.sampled_from([1.0, math.inf])),
+        st.builds(LpSpace, dims, st.floats(1.2, 4.0)),
+        st.builds(EuclideanSpace, dims),
+        # from 8 weights, matmul rounds a row by its place in the call
+        st.lists(_WEIGHTS, min_size=2, max_size=10)
+        .map(lambda w: LatticeSpace(WeightedL1Lattice(w))),
+        _tables().map(lambda f: LatticeSpace(Absolute2Lattice(f))))
+
+
+@st.composite
+def _direct_sums(draw):
+    comps = draw(st.lists(_leaf_spaces(st.integers(1, 2)), min_size=2,
+                          max_size=3))
+    m = len(comps)
+    combiner = draw(st.one_of(
+        st.sampled_from([1.0, 2.5, math.inf]).map(lambda p: LpLattice(m, p)),
+        st.lists(_WEIGHTS, min_size=m, max_size=m).map(WeightedL1Lattice)))
+    return DirectSumSpace(comps, combiner)
+
+
+# polyhedral planes, lp(1), lp(inf), smooth lp and euclidean, weighted and
+# table lattices, and direct sums of them
+ESTIMATOR_SPACES = st.one_of(_leaf_spaces(st.integers(2, 4)), _direct_sums())
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=ESTIMATOR_SPACES,
+       eps=st.one_of(st.just(2.0), st.just(1.99),
+                     st.floats(0.0, 2.0, exclude_min=True)),
+       resolution=st.integers(8, 120))
+def test_estimator_is_bit_identical_to_the_full_bisection(space, eps,
+                                                          resolution):
+    got, want = _NormRecorder(space), _NormRecorder(space)
+    value = _brute_force_convexity(got, eps, resolution)
+    assert value == _full_bisection_convexity(want, eps, resolution)
+    for rows, ref in zip(got.calls[-3:], want.calls[-3:]):
+        assert np.array_equal(rows, ref)
+
+
+def _estimator_paths(space, resolution):
+    """The endpoints ``x`` and targets of every path the estimator walks."""
+    dirs = _sample_directions(2 * space.dim, resolution)
+    a, b = dirs[:, :space.dim], dirs[:, space.dim:]
+    na, nb = space.norms(a), space.norms(b)
+    keep = (na != 0.0) & (nb != 0.0)
+    y0 = b[keep] / nb[keep, None]
+    return (np.concatenate([a[keep] / na[keep, None]] * 2),
+            np.concatenate([y0, -y0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=ESTIMATOR_SPACES, resolution=st.integers(2, 30),
+       centre=st.floats(0.0, 1.0),
+       step=st.sampled_from([1e-16, 1e-15, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3]))
+def test_computed_chord_never_falls_by_half_the_margin(space, resolution,
+                                                      centre, step):
+    # the exact chord never falls along a path (the monotonicity lemma);
+    # the jumps of the estimator need the computed one to fall by < M/2
+    x, target = _estimator_paths(space, resolution)
+    t = np.unique(np.clip(centre + step * np.arange(-32.0, 33.0), 0.0, 1.0))
+    rows = (np.repeat(x, len(t), axis=0), np.repeat(target, len(t), axis=0),
+            np.tile(t, len(x)))
+    # the estimator's flanks come from calls that group rows otherwise
+    chords = _chords(space, *rows).reshape(len(x), len(t))
+    regrouped = _chords(space, *(v[::-1] for v in rows))[::-1]
+    regrouped = regrouped.reshape(len(x), len(t))
+    high = np.fmax.accumulate(np.fmax(chords, regrouped), axis=1)
+    fall = (high - np.fmin(chords, regrouped))[~np.isnan(chords)]
+    assert fall.max(initial=0.0) <= _CHORD_MARGIN / 2.0
+
+
+def test_certified_jumps_save_norms_calls():
+    class CountingRows(EuclideanSpace):
+        calls = 0
+
+        def norms(self, rows):
+            self.calls += 1
+            return super().norms(rows)
+
+    space = CountingRows(3)
+    got = convexity_modulus(space, 0.8, method="brute_force", resolution=200)
+    # the fixed-point exit of the plain bisection makes 116 calls
+    assert space.calls <= 54
+    assert got == _full_bisection_convexity(EuclideanSpace(3), 0.8, 200)
 
 
 @pytest.mark.parametrize("E", [LpLattice(4, 3.0), LpLattice(3, 1.0),
